@@ -2,7 +2,7 @@
 stability-region boundary in the (c, m) plane, and tabular export of
 trajectories and orbits."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,14 +121,16 @@ def cluster_count(points: np.ndarray, merge_radius_rel: float = 1e-4) -> int:
         return 0
     scale = max(float(np.max(np.abs(pts))), 1e-30)
     radius = merge_radius_rel * scale
-    centers: list = []
-    for row in pts:
-        for center in centers:
-            if np.linalg.norm(row - center) <= radius:
-                break
-        else:
-            centers.append(row)
-    return len(centers)
+    # The first open row founds a center and closes itself and every later
+    # row within radius.  Written as "not <=" so a NaN distance leaves a row
+    # open, as the point-by-point rule does; slicing off the center's own row
+    # keeps a NaN center from looping.
+    count = 0
+    while pts.shape[0]:
+        rest = pts[1:]
+        pts = rest[~(np.linalg.norm(rest - pts[0], axis=1) <= radius)]
+        count += 1
+    return count
 
 
 def stability_region_cm(p: ModelParams, c_grid, tolerance: float = 1e-9) -> RegionResult:
@@ -139,8 +141,6 @@ def stability_region_cm(p: ModelParams, c_grid, tolerance: float = 1e-9) -> Regi
     of its ends) are skipped with a reason.  Below the returned curve the
     interior state is stable, above it unstable.
     """
-    from dataclasses import replace
-
     th = thresholds(p)
     points = []
     skipped = []

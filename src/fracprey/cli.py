@@ -23,7 +23,6 @@ import numpy as np
 from .bifurcation import export_series, stability_region_cm, sweep_step_size
 from .discrete import (
     DiscreteConfig,
-    NormalFormPreconditionError,
     classify_fixed_points,
     hopf_normal_form,
     iterate_orbit,
@@ -441,11 +440,7 @@ def run(cfg: RunConfig) -> int:
                 return 3
 
         elif cfg.mode == "normal-form":
-            try:
-                rows = _rows_normal_form(cfg.params, cfg.m)
-            except NormalFormPreconditionError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
+            rows = _rows_normal_form(cfg.params, cfg.m)
             write_csv(_out_path(cfg, "normal_form.csv"), ("name", "value"), rows)
 
         elif cfg.mode == "sweep":
@@ -490,6 +485,11 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:
+        # library validators (e.g. DiscreteConfig, the normal-form
+        # preconditions) reject what build_config let through
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -12,12 +12,12 @@ the bifurcating invariant circle attracts.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .model import ModelParams, equilibria, interior_point, rhs, thresholds
+from .model import ModelParams, _rates, equilibria, interior_point, thresholds
 from .special import gamma_fn
 
 __all__ = [
@@ -63,6 +63,10 @@ def map_gain(s: float, m: float) -> float:
 
 def inverse_map_gain(gain: float, m: float) -> float:
     """Step size s with map_gain(s, m) == gain."""
+    if not gain > 0:
+        raise ValueError(f"map gain must be > 0, got {gain!r}")
+    if not 0.0 < m <= 1.0:
+        raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {m!r}")
     return (gain * gamma_fn(m + 1.0)) ** (1.0 / m)
 
 
@@ -173,24 +177,37 @@ class BifurcationEvent:
     residual: float
 
 
+def _map_step(p: ModelParams, gain: float, x: float, y: float) -> tuple:
+    """The map on plain floats; every map iteration goes through here."""
+    dx, dy = _rates(p, x, y)
+    return x + gain * dx, y + gain * dy
+
+
 def step_map(p: ModelParams, s: float, m: float, state) -> np.ndarray:
     """One application of the map: state + S * rate(state), no clamping."""
-    out = np.asarray(state, dtype=float) + map_gain(s, m) * rhs(p, state)
-    if not np.all(np.isfinite(out)):
+    x, y = _map_step(p, map_gain(s, m), float(state[0]), float(state[1]))
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise OrbitEscapeError(f"map produced a non-finite state from {state!r}")
-    return out
+    return np.array([x, y])
 
 
 def iterate_orbit(p: ModelParams, cfg: DiscreteConfig, x0) -> DiscreteOrbit:
-    """Iterate the map; escapes are encoded in the result, not raised."""
+    """Iterate the map; escapes are encoded in the result, not raised.
+
+    An iterate escapes when it is non-finite or either coordinate exceeds
+    ESCAPE_BOUND in magnitude; the comparison is written so that NaN fails it.
+    """
     gain = map_gain(cfg.s, cfg.m)
     states = np.empty((cfg.iterations + 1, 2))
     states[0] = np.asarray(x0, dtype=float)
-    for n in range(cfg.iterations):
-        nxt = states[n] + gain * rhs(p, states[n])
-        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > ESCAPE_BOUND:
-            return DiscreteOrbit(states=states[: n + 1].copy(), config=cfg, escaped=True)
-        states[n + 1] = nxt
+    flat = memoryview(states.reshape(-1))
+    x, y = float(states[0, 0]), float(states[0, 1])
+    for n in range(1, cfg.iterations + 1):
+        x, y = _map_step(p, gain, x, y)
+        if not (abs(x) <= ESCAPE_BOUND and abs(y) <= ESCAPE_BOUND):
+            return DiscreteOrbit(states=states[:n].copy(), config=cfg, escaped=True)
+        flat[2 * n] = x
+        flat[2 * n + 1] = y
     return DiscreteOrbit(states=states, config=cfg, escaped=False)
 
 
@@ -438,8 +455,6 @@ def detect_structural_bifurcations(p: ModelParams, m: float) -> list:
     th = thresholds(p)
 
     if th.c1 is not None and 0.0 < th.c1 < 1.0:
-        from dataclasses import replace
-
         at_c1 = replace(p, c=th.c1)
         # at c = c1 the interior constants collapse to G = r, so the flip
         # step coincides with the prey threshold s2

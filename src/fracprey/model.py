@@ -118,13 +118,17 @@ class Jacobian2:
         return ((self.trace + root) / 2.0, (self.trace - root) / 2.0)
 
 
-def rhs(p: ModelParams, state) -> np.ndarray:
-    """Rate vector (dx, dy) at a nonnegative state."""
-    x, y = float(state[0]), float(state[1])
+def _rates(p: ModelParams, x: float, y: float) -> tuple:
+    """The field on plain floats: the one place its formula is written."""
     a = p.attack
     denom = 1.0 + a * p.h * x
     capture = a * x * y / denom
-    return np.array([p.r * x * (1.0 - x / p.K) - capture, p.theta * capture - p.d * y])
+    return p.r * x * (1.0 - x / p.K) - capture, p.theta * capture - p.d * y
+
+
+def rhs(p: ModelParams, state) -> np.ndarray:
+    """Rate vector (dx, dy) at a nonnegative state."""
+    return np.array(_rates(p, float(state[0]), float(state[1])))
 
 
 def vector_field(p: ModelParams) -> Callable:

@@ -94,6 +94,40 @@ class TestClusterCount:
     def test_empty(self):
         assert cluster_count(np.empty((0, 2))) == 0
 
+    @staticmethod
+    def greedy_reference(points, merge_radius_rel=1e-4):
+        """Point by point: join the first center within radius, else found one."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[0] == 0:
+            return 0
+        radius = merge_radius_rel * max(float(np.max(np.abs(pts))), 1e-30)
+        centers = []
+        for row in pts:
+            for center in centers:
+                if np.linalg.norm(row - center) <= radius:
+                    break
+            else:
+                centers.append(row)
+        return len(centers)
+
+    def test_matches_greedy_reference_on_random_clouds(self):
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            k = int(rng.integers(1, 6))
+            spread = 10.0 ** rng.uniform(-7.0, 0.0)
+            centers = rng.uniform(-5.0, 5.0, size=(k, 2))
+            pts = centers[rng.integers(0, k, size=120)] + spread * rng.standard_normal((120, 2))
+            for rel in (1e-4, 1e-2):
+                assert cluster_count(pts, rel) == self.greedy_reference(pts, rel)
+
+    def test_nan_rows_match_greedy_reference(self):
+        # a NaN row is never within radius of anything, so each one founds
+        # its own cluster; the NaN scale also makes every finite row distinct
+        rng = np.random.default_rng(21)
+        pts = np.repeat([[1.0, 2.0], [3.0, 4.0]], 20, axis=0) + 1e-7 * rng.standard_normal((40, 2))
+        pts[[0, 7, 25]] = np.nan
+        assert cluster_count(pts) == self.greedy_reference(pts) == 40
+
 
 class TestStabilityRegion:
     def test_reference_boundary_point(self, low_complexity):

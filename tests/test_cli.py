@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fracprey
 from fracprey import step_thresholds, thresholds
 from fracprey.cli import ConfigError, format_number, main, parse_config
 
@@ -117,6 +123,23 @@ class TestCliRuns:
         config.write_text(BASE_CONFIG.replace("m = 0.95", "m = 1.5"), encoding="utf-8")
         assert main(["thresholds", "--config", str(config)]) == 2
         assert "0 < m <= 1" in capsys.readouterr().err
+
+    def test_library_value_error_exit_code(self, tmp_path):
+        # DiscreteConfig, not the config parser, rejects transient >= iterations;
+        # the CLI process must still end in exit 2 with a one-line message
+        config = tmp_path / "run.cfg"
+        config.write_text(BASE_CONFIG.replace("c = 0.86", "c = 0.45"), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(fracprey.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracprey.cli", "discrete", "--config", str(config),
+             "--m", "0.95", "--s", "0.1", "--iterations", "10", "--transient", "50",
+             "--output", str(tmp_path / "orbit.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: transient")
+        assert proc.stderr.count("\n") == 1
 
     def test_simulate_grid_rows(self, tmp_path):
         config = tmp_path / "run.cfg"

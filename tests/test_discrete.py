@@ -7,6 +7,7 @@ from fracprey import (
     DiscreteConfig,
     ModelParams,
     NormalFormPreconditionError,
+    OrbitEscapeError,
     classify_fixed_points,
     detect_structural_bifurcations,
     equilibria,
@@ -19,6 +20,7 @@ from fracprey import (
     step_thresholds,
     thresholds,
 )
+from fracprey.discrete import ESCAPE_BOUND
 
 REFERENCE_STEP_TABLE = {
     # m: (s2, s3) at c=0.86 and (s4, s5) at c=0.45
@@ -70,6 +72,12 @@ class TestGain:
             map_gain(0.0, 0.5)
         with pytest.raises(ValueError):
             map_gain(0.1, 1.5)
+
+    def test_inverse_validation(self):
+        # a negative gain once gave a real step at m = 0.5 and a complex one at m = 0.3
+        for gain, m in ((-1.0, 0.5), (-1.0, 0.3), (0.0, 0.5), (1.0, 0.0), (1.0, 1.5)):
+            with pytest.raises(ValueError):
+                inverse_map_gain(gain, m)
 
 
 class TestStepMap:
@@ -160,6 +168,80 @@ class TestOrbit:
             DiscreteConfig(s=0.0, m=0.9, iterations=10)
         with pytest.raises(ValueError):
             DiscreteConfig(s=0.1, m=0.9, iterations=10, transient=10)
+
+
+def reference_rhs(p, state):
+    """The field as a numpy 2-vector, written out independently of fracprey."""
+    x, y = float(state[0]), float(state[1])
+    a = p.alpha * (1.0 - p.c)
+    denom = 1.0 + a * p.h * x
+    capture = a * x * y / denom
+    return np.array([p.r * x * (1.0 - x / p.K) - capture, p.theta * capture - p.d * y])
+
+
+def reference_orbit(p, cfg, x0):
+    """The numpy map step with its isfinite / max-abs escape test."""
+    gain = map_gain(cfg.s, cfg.m)
+    states = np.empty((cfg.iterations + 1, 2))
+    states[0] = np.asarray(x0, dtype=float)
+    for n in range(cfg.iterations):
+        nxt = states[n] + gain * reference_rhs(p, states[n])
+        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > ESCAPE_BOUND:
+            return states[: n + 1].copy(), True
+        states[n + 1] = nxt
+    return states, False
+
+
+class TestKernelOracle:
+    """The plain-float map kernel reproduces the numpy step bit for bit."""
+
+    @pytest.mark.parametrize("regime", ["high_complexity", "mid_complexity", "low_complexity"])
+    def test_orbits_match_reference(self, regime, request):
+        p = request.getfixturevalue(regime)
+        escapes = 0
+        for m in (0.8, 0.95, 1.0):
+            for s in (0.05, 0.2, 0.5, 0.75, 1.0, 1.5, 2.0):
+                cfg = DiscreteConfig(s=s, m=m, iterations=1500, transient=100)
+                orbit = iterate_orbit(p, cfg, (10.0, 5.0))
+                states, escaped = reference_orbit(p, cfg, (10.0, 5.0))
+                assert orbit.escaped == escaped, (m, s)
+                assert np.array_equal(orbit.states, states), (m, s)
+                escapes += escaped
+        assert 0 < escapes < 21
+
+    def test_escape_test_matches_reference_on_extreme_starts(self, mid_complexity):
+        # non-finite starts, a start past the bound and one whose first
+        # step overflows: the kernel's comparison must agree with isfinite
+        cfg = DiscreteConfig(s=0.5, m=0.95, iterations=20)
+        for x0 in ((np.nan, 5.0), (10.0, np.inf), (-np.inf, 0.0), (2e12, 1.0), (1e300, 1e300),
+                   (0.99 * ESCAPE_BOUND, 0.0)):
+            orbit = iterate_orbit(mid_complexity, cfg, x0)
+            states, escaped = reference_orbit(mid_complexity, cfg, x0)
+            assert orbit.escaped == escaped, x0
+            assert np.array_equal(orbit.states, states, equal_nan=True), x0
+
+    def test_rhs_matches_reference(self, high_complexity, mid_complexity, low_complexity):
+        rng = np.random.RandomState(7)
+        for p in (high_complexity, mid_complexity, low_complexity):
+            for state in rng.uniform(-50.0, 1000.0, size=(200, 2)):
+                assert np.array_equal(rhs(p, state), reference_rhs(p, state))
+
+    def test_step_map_matches_reference(self, high_complexity, mid_complexity, low_complexity):
+        rng = np.random.RandomState(11)
+        for p in (high_complexity, mid_complexity, low_complexity):
+            for state in rng.uniform(0.0, 1000.0, size=(100, 2)):
+                s, m = rng.uniform(0.01, 2.5), rng.uniform(0.1, 1.0)
+                expected = np.asarray(state, dtype=float) + map_gain(s, m) * reference_rhs(p, state)
+                assert np.array_equal(step_map(p, s, m, state), expected)
+                assert np.array_equal(step_map(p, s, m, tuple(state)), expected)
+
+    def test_step_map_raises_on_non_finite_and_applies_no_bound(self, mid_complexity):
+        with pytest.raises(OrbitEscapeError):
+            step_map(mid_complexity, 0.5, 0.95, (np.nan, 1.0))
+        with pytest.raises(OrbitEscapeError):
+            step_map(mid_complexity, 0.5, 0.95, (1e300, 1e300))
+        out = step_map(mid_complexity, 0.5, 0.95, (0.0, 10.0 * ESCAPE_BOUND))
+        assert np.all(np.isfinite(out)) and abs(out[1]) > ESCAPE_BOUND
 
 
 class TestStepThresholds:
