@@ -115,11 +115,13 @@ def cluster_count(points: np.ndarray, merge_radius_rel: float = 1e-4) -> int:
     Greedy and deterministic: a point joins the first existing cluster
     center within radius, otherwise founds a new one.  Adequate for telling
     fixed points from period-2/4/8 orbits and from spread-out attractors.
+    The radius scales with the largest finite coordinate magnitude, so NaN
+    or inf rows do not widen or void it.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         return 0
-    scale = max(float(np.max(np.abs(pts))), 1e-30)
+    scale = max(float(np.max(np.abs(pts), where=np.isfinite(pts), initial=0.0)), 1e-30)
     radius = merge_radius_rel * scale
     # The first open row founds a center and closes itself and every later
     # row within radius.  Written as "not <=" so a NaN distance leaves a row

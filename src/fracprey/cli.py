@@ -44,7 +44,6 @@ _OPTION_SPEC = {
     "horizon": ("float", "horizon >= step"),
     "x0": ("pair", None),
     "corrector_sweeps": ("int", "corrector_sweeps >= 1"),
-    "memory_window": ("int", "memory_window >= 1"),
     "s": ("float", "s > 0"),
     "iterations": ("int", "iterations >= 1"),
     "transient": ("int", "transient >= 0"),
@@ -61,7 +60,7 @@ _OPTION_SPEC = {
 }
 
 MODE_OPTION_KEYS = {
-    "simulate": ("m", "step", "horizon", "x0", "corrector_sweeps", "memory_window"),
+    "simulate": ("m", "step", "horizon", "x0", "corrector_sweeps"),
     "equilibria": (),
     "stability": ("m",),
     "thresholds": ("m",),
@@ -100,7 +99,6 @@ class RunConfig:
     horizon: Optional[float] = None
     x0: tuple = (10.0, 5.0)
     corrector_sweeps: int = 1
-    memory_window: Optional[int] = None
     s: Optional[float] = None
     iterations: Optional[int] = None
     transient: Optional[int] = None
@@ -227,8 +225,6 @@ def _check_ranges(cfg: RunConfig) -> None:
         fail("n_samples", "n_samples >= 1", cfg.n_samples)
     if cfg.corrector_sweeps < 1:
         fail("corrector_sweeps", "corrector_sweeps >= 1", cfg.corrector_sweeps)
-    if cfg.memory_window is not None and cfg.memory_window < 1:
-        fail("memory_window", "memory_window >= 1", cfg.memory_window)
     if cfg.s_min is not None and not cfg.s_min > 0:
         fail("s_min", "s_min > 0", cfg.s_min)
     if cfg.s_min is not None and cfg.s_max is not None and not cfg.s_max > cfg.s_min:
@@ -404,7 +400,6 @@ def run(cfg: RunConfig) -> int:
                 step=cfg.step,
                 horizon=cfg.horizon,
                 corrector_sweeps=cfg.corrector_sweeps,
-                memory_window=cfg.memory_window,
             )
             path = _out_path(cfg, "simulate.csv")
             try:

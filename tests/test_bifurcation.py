@@ -100,7 +100,8 @@ class TestClusterCount:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 0:
             return 0
-        radius = merge_radius_rel * max(float(np.max(np.abs(pts))), 1e-30)
+        finite = np.abs(pts[np.isfinite(pts)])
+        radius = merge_radius_rel * max(float(finite.max()) if finite.size else 0.0, 1e-30)
         centers = []
         for row in pts:
             for center in centers:
@@ -122,11 +123,11 @@ class TestClusterCount:
 
     def test_nan_rows_match_greedy_reference(self):
         # a NaN row is never within radius of anything, so each one founds
-        # its own cluster; the NaN scale also makes every finite row distinct
+        # its own cluster; the finite rows keep their two clusters
         rng = np.random.default_rng(21)
         pts = np.repeat([[1.0, 2.0], [3.0, 4.0]], 20, axis=0) + 1e-7 * rng.standard_normal((40, 2))
         pts[[0, 7, 25]] = np.nan
-        assert cluster_count(pts) == self.greedy_reference(pts) == 40
+        assert cluster_count(pts) == self.greedy_reference(pts) == 2 + 3
 
 
 class TestStabilityRegion:

@@ -141,6 +141,24 @@ class TestCliRuns:
         assert proc.stderr.startswith("config error: transient")
         assert proc.stderr.count("\n") == 1
 
+    def test_grid_budget_exit_code(self, tmp_path):
+        # a 2e10-step grid is rejected by pece_solve before it allocates, so
+        # the process ends in exit 2 rather than a MemoryError
+        config = tmp_path / "run.cfg"
+        config.write_text(BASE_CONFIG, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(fracprey.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracprey.cli", "simulate", "--config", str(config),
+             "--m", "0.9", "--step", "0.05", "--horizon", "1e9",
+             "--output", str(tmp_path / "traj.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: grid of")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_simulate_grid_rows(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(

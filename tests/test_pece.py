@@ -1,3 +1,9 @@
+import gc
+import math
+import time
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,6 +15,7 @@ from fracprey import (
     pece_solve,
     vector_field,
 )
+from fracprey.pece import MAX_GRID_VALUES, history_weights
 
 
 def linear_decay(u):
@@ -28,6 +35,77 @@ def classical_adams_oracle(rhs, u0, h, n_steps):
         u.append(corrected)
         f.append(rhs(corrected))
     return u
+
+
+def direct_convolution_oracle(rhs, x0, m, cfg):
+    """The full-memory scheme with both history sums taken directly over every
+    stored node at every step (O(N^2)), on the weights of history_weights."""
+    h = cfg.step
+    n_steps = int(math.floor(cfg.horizon / h + 1e-9))
+    u0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    pred_w, corr_w, w0 = history_weights(m, n_steps)
+    c_pred = h**m / math.gamma(m + 1.0)
+    c_corr = h**m / math.gamma(m + 2.0)
+    states = np.empty((n_steps + 1, u0.size))
+    rates = np.empty_like(states)
+    states[0] = u0
+    rates[0] = rhs(u0)
+    for n in range(n_steps):
+        predicted = u0 + c_pred * (pred_w[: n + 1][::-1] @ rates[: n + 1])
+        hist_term = w0[n] * rates[0] + corr_w[:n][::-1] @ rates[1 : n + 1]
+        value = predicted
+        for _ in range(cfg.corrector_sweeps):
+            value = u0 + c_corr * (np.asarray(rhs(value), dtype=float) + hist_term)
+        states[n + 1] = value
+        rates[n + 1] = rhs(value)
+    return states
+
+
+class TestHistoryWeights:
+    @pytest.mark.parametrize("m", [0.1, 0.3, 0.5, 0.9, 0.99, 1.0])
+    def test_against_50_digit_reference(self, m):
+        pred_w, corr_w, w0 = history_weights(m, 100_001)
+        ks = np.unique(np.concatenate([np.arange(300), np.geomspace(300, 1e5, 150).astype(int)]))
+        with mpmath.workdps(50):
+            mm = mpmath.mpf(m)
+            for k in ks:
+                kk = mpmath.mpf(int(k))
+                exact = (
+                    (kk + 1) ** mm - kk**mm,
+                    (kk + 2) ** (mm + 1) - 2 * (kk + 1) ** (mm + 1) + kk ** (mm + 1),
+                    kk ** (mm + 1) - (kk - mm) * (kk + 1) ** mm,
+                )
+                for got, ref in zip((pred_w[k], corr_w[k], w0[k]), exact):
+                    assert abs(mpmath.mpf(float(got)) / ref - 1) <= 1e-14, (k, got, ref)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("m", [1.0, 0.9, 0.5])
+    def test_constant_forcing(self, m):
+        # D^m u = 1, u(0) = 0 has u(t) = t^m / Gamma(m + 1), which both rules
+        # integrate exactly; at m = 1, h = 0.01 this is u(10) = 10
+        traj = pece_solve(lambda u: np.ones_like(u), [0.0], m, SolverConfig(step=0.01, horizon=10.0))
+        exact = traj.times**m / math.gamma(m + 1.0)
+        assert np.allclose(traj.states[:, 0], exact, rtol=1e-12, atol=0.0)
+
+
+class TestDirectOracle:
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    @pytest.mark.parametrize(
+        "regime,m", [("high_complexity", 0.9), ("mid_complexity", 0.9), ("low_complexity", 0.95)]
+    )
+    def test_model_regimes(self, request, regime, m, sweeps):
+        field = vector_field(request.getfixturevalue(regime))
+        cfg = SolverConfig(step=0.05, horizon=0.05 * 20_000, corrector_sweeps=sweeps)
+        fast = pece_solve(field, [10.0, 5.0], m, cfg).states
+        direct = direct_convolution_oracle(field, [10.0, 5.0], m, cfg)
+        assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_linear_decay(self):
+        cfg = SolverConfig(step=0.05, horizon=0.05 * 5000)
+        fast = pece_solve(lambda u: -1.3 * u, [1.0], 0.9, cfg).states
+        direct = direct_convolution_oracle(lambda u: -1.3 * u, [1.0], 0.9, cfg)
+        assert np.max(np.abs(fast - direct)) <= 1e-12
 
 
 class TestLinearProblem:
@@ -86,23 +164,6 @@ class TestGridAndDeterminism:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.times, b.times)
 
-    def test_memory_window_consistency(self):
-        p = ModelParams(r=2.65, K=898.0, alpha=0.045, h=0.0437, theta=0.215, c=0.45, d=1.06)
-        full = pece_solve(vector_field(p), [10.0, 5.0], 0.9, SolverConfig(step=0.05, horizon=5.0))
-        windowed = pece_solve(
-            vector_field(p),
-            [10.0, 5.0],
-            0.9,
-            SolverConfig(step=0.05, horizon=5.0, memory_window=1000),
-        )
-        assert np.array_equal(full.states, windowed.states)
-
-    def test_short_window_runs(self):
-        traj = pece_solve(
-            linear_decay, [1.0], 0.8, SolverConfig(step=0.01, horizon=1.0, memory_window=10)
-        )
-        assert np.all(np.isfinite(traj.states))
-
 
 class TestModelField:
     def test_predator_free_attractor(self, high_complexity):
@@ -132,9 +193,46 @@ class TestConfigValidation:
             SolverConfig(step=0.1, horizon=0.05)
         with pytest.raises(ValueError):
             SolverConfig(step=0.1, horizon=1.0, corrector_sweeps=0)
-        with pytest.raises(ValueError):
-            SolverConfig(step=0.1, horizon=1.0, memory_window=0)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             pece_solve(linear_decay, [1.0], 1.5, SolverConfig(step=0.1, horizon=1.0))
+
+
+class TestResources:
+    def test_grid_budget_rejected_before_allocation(self):
+        over = SolverConfig(step=1.0, horizon=MAX_GRID_VALUES // 2 + 1.0)
+        tracemalloc.start()
+        try:
+            for cfg in (over, SolverConfig(step=0.05, horizon=1e9), SolverConfig(step=0.05, horizon=math.inf)):
+                with pytest.raises(ValueError, match="budget"):
+                    pece_solve(lambda u: -u, [1.0, 2.0], 0.9, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_no_reference_cycles(self, mid_complexity):
+        gc.collect()
+        gc.disable()
+        try:
+            pece_solve(vector_field(mid_complexity), [10.0, 5.0], 0.9, SolverConfig(step=0.05, horizon=500.0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_sub_quadratic_scaling(self, mid_complexity):
+        # direct O(N^2) sums take about 16x as long for 4x the steps
+        field = vector_field(mid_complexity)
+
+        def cpu_seconds(n_steps):
+            start = time.process_time()
+            pece_solve(field, [10.0, 5.0], 0.9, SolverConfig(step=0.05, horizon=0.05 * n_steps))
+            return time.process_time() - start
+
+        # interleaved best-of-three, so a change of machine speed hits both sizes
+        small = large = math.inf
+        for _ in range(3):
+            small = min(small, cpu_seconds(12_000))
+            large = min(large, cpu_seconds(48_000))
+        assert large <= 6.0 * small
