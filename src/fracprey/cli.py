@@ -526,7 +526,8 @@ def _reproduce(base_output: Optional[str]) -> int:
 
     stamp = time.strftime("%Y%m%d-%H%M%S")
     outdir = Path(base_output or ".") / f"reproduce-{stamp}"
-    outdir.mkdir(parents=True, exist_ok=True)
+    # an earlier run in the same second owns this directory: fail, never overwrite
+    outdir.mkdir(parents=True, exist_ok=False)
 
     p86 = ModelParams(**_REFERENCE_PARAMS)
     p45 = replace(p86, c=0.45)

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ModelParams, _rates, equilibria, interior_point, thresholds
+from .pece import MAX_GRID_VALUES
 from .special import gamma_fn
 
 __all__ = [
@@ -196,7 +197,14 @@ def iterate_orbit(p: ModelParams, cfg: DiscreteConfig, x0) -> DiscreteOrbit:
 
     An iterate escapes when it is non-finite or either coordinate exceeds
     ESCAPE_BOUND in magnitude; the comparison is written so that NaN fails it.
+    Raises ValueError, before allocating the orbit, when its iterates times
+    state size exceed MAX_GRID_VALUES.
     """
+    if not (cfg.iterations + 1) * 2 <= MAX_GRID_VALUES:
+        raise ValueError(
+            f"orbit of {cfg.iterations} iterations x 2 state components exceeds the "
+            f"budget of {MAX_GRID_VALUES} values; lower iterations"
+        )
     gain = map_gain(cfg.s, cfg.m)
     states = np.empty((cfg.iterations + 1, 2))
     states[0] = np.asarray(x0, dtype=float)

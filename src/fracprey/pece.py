@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .special import gamma_fn
 
@@ -143,13 +142,27 @@ def history_weights(m: float, n: int):
     return weights
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, the lengths numpy's FFT handles fastest."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _add_history(rates, kernels, hist):
     """Add the rates of len(rates) consecutive nodes into the history sums
     hist of the len(hist) nodes that directly follow them, one FFT
     convolution per kernel and state component."""
     n_src, n_dst = len(rates), len(hist)
     span = n_src + n_dst - 1                # largest node distance involved
-    n_fft = next_fast_len(span, real=True)  # circular wrap misses the kept part
+    n_fft = _fft_length(span)               # circular wrap misses the kept part
     kernels_f = [np.fft.rfft(w[:span], n_fft) for w in kernels]
     kept = slice(n_src - 1, span)
     for c in range(rates.shape[1]):

@@ -159,6 +159,23 @@ class TestCliRuns:
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "traj.csv").exists()
 
+    def test_orbit_budget_exit_code(self, tmp_path):
+        # iterate_orbit rejects 1e10 iterations before it allocates 160 GB
+        config = tmp_path / "run.cfg"
+        config.write_text(BASE_CONFIG, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(fracprey.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracprey.cli", "discrete", "--config", str(config),
+             "--m", "0.95", "--s", "0.1", "--iterations", "10000000000",
+             "--output", str(tmp_path / "orbit.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: orbit of")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "orbit.csv").exists()
+
     def test_simulate_grid_rows(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(
@@ -307,3 +324,16 @@ class TestReproduce:
             scale = max(abs(expected), 1e-12)
             assert abs(computed - expected) <= max(5e-3 * scale, 5e-4), name
         assert "reproduction written" in capsys.readouterr().out
+
+    def test_same_second_run_does_not_overwrite(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fracprey.cli.time.strftime", lambda fmt: "20260101-000000")
+        assert main(["reproduce", "--output", str(tmp_path)]) == 0
+        outdir = tmp_path / "reproduce-20260101-000000"
+        first = {f.name: f.read_bytes() for f in outdir.iterdir()}
+        capsys.readouterr()
+        assert main(["reproduce", "--output", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output:")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [outdir]
+        assert {f.name: f.read_bytes() for f in outdir.iterdir()} == first

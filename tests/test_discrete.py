@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from fracprey import (
     thresholds,
 )
 from fracprey.discrete import ESCAPE_BOUND
+from fracprey.pece import MAX_GRID_VALUES
 
 REFERENCE_STEP_TABLE = {
     # m: (s2, s3) at c=0.86 and (s4, s5) at c=0.45
@@ -162,6 +164,19 @@ class TestOrbit:
         orbit = iterate_orbit(mid_complexity, cfg, (10.0, 5.0))
         dist = np.linalg.norm(orbit.states - target, axis=1)
         assert dist[-1000:].max() > 1.0
+
+    def test_size_budget_rejected_before_allocation(self, mid_complexity):
+        # the smallest orbit over the budget, and one that would need 160 GB
+        tracemalloc.start()
+        try:
+            for iterations in (MAX_GRID_VALUES // 2, 10**10):
+                cfg = DiscreteConfig(s=0.1, m=0.9, iterations=iterations)
+                with pytest.raises(ValueError, match="budget"):
+                    iterate_orbit(mid_complexity, cfg, (10.0, 5.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -7,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import fracprey
 from fracprey import (
     ModelParams,
     SolverConfig,
@@ -15,7 +19,7 @@ from fracprey import (
     pece_solve,
     vector_field,
 )
-from fracprey.pece import MAX_GRID_VALUES, history_weights
+from fracprey.pece import MAX_GRID_VALUES, _fft_length, history_weights
 
 
 def linear_decay(u):
@@ -236,3 +240,20 @@ class TestResources:
             small = min(small, cpu_seconds(12_000))
             large = min(large, cpu_seconds(48_000))
         assert large <= 6.0 * small
+
+
+class TestNoScipy:
+    def test_fft_length_matches_scipy(self):
+        # the FFT sizes scipy chose before, so trajectories stay bit-identical
+        from scipy.fft import next_fast_len
+
+        sizes = list(range(1, 20_001)) + [2**k + d for k in range(15, 31) for d in (-1, 1)]
+        assert [_fft_length(n) for n in sizes] == [next_fast_len(n, real=True) for n in sizes]
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fracprey.__file__)))
+        code = "import sys, fracprey, fracprey.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

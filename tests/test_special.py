@@ -132,3 +132,31 @@ class TestMittagLeffler:
     def test_positive_overflow_diagnostic(self):
         with pytest.raises(MittagLefflerError):
             mittag_leffler(0.5, 60.0)
+
+
+class TestContourRule:
+    """E_m(-x) from the fixed-node parabolic contour rule."""
+
+    # At small m the oracle's integrand exp(-u^(1/m)) is nearly a step at
+    # u = 1: 40 digits take seconds per case (over a minute at m = 0.01),
+    # and 20 digits agree with them at m = 0.05 but still take about 6 s at
+    # m = 0.01.  Near m = 1 the peak of width x sin(m pi) needs 40 digits.
+    @pytest.mark.parametrize(
+        "m", [pytest.param(0.01, marks=pytest.mark.slow), 0.05, 0.3, 0.5, 0.8, 0.9, 0.99, 0.9999]
+    )
+    @pytest.mark.parametrize("x", [1e-8, 1e-3, 1.0, 20.0, 1e3, 1e6])
+    def test_against_integral_oracle_grid(self, m, x):
+        exact = integral_oracle(m, x, dps=20 if m < 0.1 else 40)
+        assert mittag_leffler(m, -x) == pytest.approx(exact, abs=1e-13)
+
+    def test_step_2h_estimate_enforces_tol(self):
+        # the two rules differ by about 1e-14, far above tol
+        with pytest.raises(MittagLefflerError, match="step-2h"):
+            mittag_leffler(0.9, -5.0, tol=1e-20)
+        assert mittag_leffler(0.9, -5.0, tol=1e-12) == pytest.approx(series_oracle(0.9, -5.0), abs=1e-13)
+
+    def test_extreme_arguments(self):
+        # E_m(-x) = 1/(x Gamma(1 - m)) (1 + O(1/x)) as x -> inf
+        for m, x in ((0.01, 1e8), (0.5, 1e8), (0.9999, 1e8), (0.3, 1e12)):
+            assert mittag_leffler(m, -x) == pytest.approx(1.0 / (x * math.gamma(1.0 - m)), rel=1e-7)
+        assert mittag_leffler(0.5, -math.inf) == 0.0
