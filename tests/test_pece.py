@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import os
 import subprocess
@@ -110,6 +111,40 @@ class TestDirectOracle:
         fast = pece_solve(lambda u: -1.3 * u, [1.0], 0.9, cfg).states
         direct = direct_convolution_oracle(lambda u: -1.3 * u, [1.0], 0.9, cfg)
         assert np.max(np.abs(fast - direct)) <= 1e-12
+
+
+# SHA-256 of states.tobytes() for 3000 steps from (10, 5) at h = 0.05, as the
+# solver produced them before its step loop moved onto Python floats
+GOLDEN_STATES = {
+    ("high_complexity", 1, 0.8): "8520abb439805c4b5580c8322550df85d19b67c5d39d1e86731038be64be73e5",
+    ("high_complexity", 1, 0.95): "a5a25f6420df32eb9498c66ad7185ab28b8f85a75d20dd17e75d9eb182246fa3",
+    ("high_complexity", 1, 1.0): "8152e6ff8f26c280779817c13a8151bf060762b593de876b278e75e6e4683fd5",
+    ("high_complexity", 3, 0.8): "71bff63706e1fe46c562f2647f01e94a8dbb4feae582fec45a1d4a876d0a755d",
+    ("high_complexity", 3, 0.95): "8e4c8a80a1cd97b13e79a6f980f20ea898179e928bfa78edea32e0c409efccbf",
+    ("high_complexity", 3, 1.0): "64fcf9a6cbdac3b0255ffc1e4f100e3cebe10890f313a8dafc87fd319e2351bf",
+    ("mid_complexity", 1, 0.8): "094bc352653823bd4d887aa5e731b043935bc5e4ace5eee8702cd8d33879e0d9",
+    ("mid_complexity", 1, 0.95): "90f8d8240aa32b59346c8da1c8a60c9390b635575e7bba9700c3f395337aa6a2",
+    ("mid_complexity", 1, 1.0): "100ac1a340827a23a5da93fb1c81e948b67bb331f28301a060b209bff06419cd",
+    ("mid_complexity", 3, 0.8): "26a3a7f75b90600eaf031508a86a59dc45d408cb40f60fb98ba0d3b039740a07",
+    ("mid_complexity", 3, 0.95): "5ae24d73e9793ab072472c2072b802b563b518e5a31e0a7e72f4142182eed381",
+    ("mid_complexity", 3, 1.0): "c0447dd75cc7233be8972d58081b9df92b96b022af69874019ded32c92c7eef8",
+    ("low_complexity", 1, 0.8): "797190374893c255b7149bd072086c8ac8896a026689d00b3b8c79a07de8aae4",
+    ("low_complexity", 1, 0.95): "7a0a911d78b243c5051bb2b6a3145aa3c6df220787d09034e6c21d033742e254",
+    ("low_complexity", 1, 1.0): "829d5a2c16f1365d858dc2805e5bb1311ea97e98f2593eededdced2c0847d26c",
+    ("low_complexity", 3, 0.8): "aac095d6f0951566324e1d35d64a688cfa0b1534341fe6d62ca2b62a3afd059d",
+    ("low_complexity", 3, 0.95): "675065518553e50a5d1270a7c357cf1614e13bb9cd3ba5fdcad5c5a257713c0b",
+    ("low_complexity", 3, 1.0): "c3ac7e7550f8290b4f323fd25efc36c385e4dcf3d46066ebb00fde5d88216568",
+}
+
+
+class TestGoldenTrajectories:
+    @pytest.mark.parametrize("regime,sweeps,m", sorted(GOLDEN_STATES))
+    def test_states_bit_identical(self, request, regime, sweeps, m):
+        field = vector_field(request.getfixturevalue(regime))
+        cfg = SolverConfig(step=0.05, horizon=0.05 * 3000, corrector_sweeps=sweeps)
+        states = pece_solve(field, [10.0, 5.0], m, cfg).states
+        assert states.shape == (3001, 2)
+        assert hashlib.sha256(states.tobytes()).hexdigest() == GOLDEN_STATES[regime, sweeps, m]
 
 
 class TestLinearProblem:
