@@ -6,8 +6,8 @@ section per mode) overridden by flags of the same name.  All numeric output
 is CSV (UTF-8, LF, '.' decimal separator, 15 significant digits); plots are
 an optional convenience on top of the CSV files.
 
-Exit codes: 0 success, 2 config/domain error, 3 numerical escape,
-4 unwritable output path.
+Exit codes: 0 success, 2 config/domain error, 3 numerical escape or a
+`reproduce` summary row outside its tolerance, 4 unwritable output path.
 """
 
 import argparse
@@ -520,8 +520,30 @@ _REFERENCE_STEP_TABLE = (
 )
 
 
+# tolerances of the reproduce gate: the ones tests/test_acceptance.py applies,
+# restated here so that the tests stay an independent check of the values
+SCALAR_ABS_TOL = 5e-4
+GAMMA_REL_TOL = 0.10
+STEP_REL_TOL = 5e-3
+STEP_ABS_TOL = 5e-4
+
+
+def _scalar_passes(name: str, expected: float, value: float) -> bool:
+    """Whether one scalar summary row lies within its tolerance (NaN never does)."""
+    if name == "gamma":
+        same_sign = math.copysign(1.0, value) == math.copysign(1.0, expected)
+        return same_sign and abs(value - expected) <= GAMMA_REL_TOL * abs(expected)
+    return abs(value - expected) <= SCALAR_ABS_TOL
+
+
+def _step_passes(expected: float, value: float) -> bool:
+    """Whether one critical step size lies within its tolerance."""
+    return abs(value - expected) <= max(STEP_REL_TOL * abs(expected), STEP_ABS_TOL)
+
+
 def _reproduce(base_output: Optional[str]) -> int:
-    """Re-run the reference analyses into a timestamped directory."""
+    """Re-run the reference analyses into a timestamped directory; exit 3
+    when a summary row misses its reference value."""
     from .model import interior_point
 
     stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -559,10 +581,11 @@ def _reproduce(base_output: Optional[str]) -> int:
     computed["flip_eig1"] = min(e.real for e in flip.eigenvalues)
     computed["flip_eig2"] = max(e.real for e in flip.eigenvalues)
 
-    summary = []
+    summary, passed = [], []
     for name, expected in _REFERENCE_SCALARS:
         value = computed[name]
         summary.append((name, expected, value, abs(value - expected)))
+        passed.append(_scalar_passes(name, expected, value))
 
     table_rows = []
     for m, ref_s2, ref_s3, ref_s4, ref_s5 in _REFERENCE_STEP_TABLE:
@@ -576,6 +599,7 @@ def _reproduce(base_output: Optional[str]) -> int:
             (f"s5_m{m:g}", ref_s5, st45.s5),
         ):
             summary.append((name, expected, value, abs(value - expected)))
+            passed.append(_step_passes(expected, value))
     write_csv(outdir / "step_size_table.csv", ("m", "s2", "s3", "s4", "s5"), table_rows)
 
     for m in (0.8, 0.95, 1.0):
@@ -608,8 +632,14 @@ def _reproduce(base_output: Optional[str]) -> int:
     write_csv(outdir / "summary.csv", ("name", "expected", "computed", "abs_diff"), summary)
     width = max(len(name) for name, *_ in summary)
     print(f"reproduction written to {outdir}")
-    for name, expected, value, diff in summary:
-        print(f"  {name:<{width}}  expected {expected:>14.6g}  computed {value:>14.6g}  |diff| {diff:.3g}")
+    for (name, expected, value, diff), ok in zip(summary, passed):
+        print(f"  {name:<{width}}  expected {expected:>14.6g}  computed {value:>14.6g}  "
+              f"|diff| {diff:<9.3g}  {'PASS' if ok else 'FAIL'}")
+    failed = [name for (name, *_), ok in zip(summary, passed) if not ok]
+    if failed:
+        print(f"reproduce: {len(failed)} of {len(summary)} summary rows outside tolerance: "
+              f"{', '.join(failed)}", file=sys.stderr)
+        return 3
     return 0
 
 

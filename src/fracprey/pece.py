@@ -10,7 +10,17 @@ The history sums are split as in Hairer, Lubich & Schlichte (SIAM J. Sci.
 Stat. Comput. 6, 1985): inside blocks of _BLOCK nodes they are summed
 directly, and every completed left half of the dyadic node tree is added to
 the sums of the right half that follows it by one FFT convolution.  The
-result is the same full-memory scheme at O(N log^2 N) cost.
+result is the same full-memory scheme at O(N log^2 N) cost.  One such level
+takes four transforms whatever the state size: one of the rate block over
+all components, one of both kernels and one inverse per kernel.
+
+The step arithmetic runs on Python floats, since numpy calls on a short
+state vector cost more than the arithmetic they do.  Per step numpy does
+only the in-block dot product, the rhs calls and the row stores.  Per
+component the predictor is u0 + c_pred (out + in) and the corrector
+u0 + c_corr (f + (out + in)), out and in being the history sums from outside
+and inside the node's block: the operation order of the vector form, which
+the golden trajectory hashes of the tests pin bit for bit.
 """
 
 import math
@@ -158,23 +168,25 @@ def _fft_length(n: int) -> int:
 
 def _add_history(rates, kernels, hist):
     """Add the rates of len(rates) consecutive nodes into the history sums
-    hist of the len(hist) nodes that directly follow them, one FFT
-    convolution per kernel and state component."""
+    hist of the len(hist) nodes that directly follow them by FFT convolution:
+    one transform of the rates over all state components, one of both
+    kernels, and one inverse transform per kernel."""
     n_src, n_dst = len(rates), len(hist)
     span = n_src + n_dst - 1                # largest node distance involved
     n_fft = _fft_length(span)               # circular wrap misses the kept part
-    kernels_f = [np.fft.rfft(w[:span], n_fft) for w in kernels]
+    rates_f = np.fft.rfft(rates.T, n_fft)   # (state size, frequencies)
+    kernels_f = np.fft.rfft(kernels[:, :span], n_fft)
     kept = slice(n_src - 1, span)
-    for c in range(rates.shape[1]):
-        rates_f = np.fft.rfft(rates[:, c], n_fft)
-        for q, w_f in enumerate(kernels_f):
-            hist[:, q, c] += np.fft.irfft(rates_f * w_f, n_fft)[kept]
+    for q, w_f in enumerate(kernels_f):
+        hist[:, q] += np.fft.irfft(rates_f * w_f, n_fft)[:, kept].T
 
 
 def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     """Integrate D^m u = rhs(u) from u(0) = x0 on the uniform grid.
 
-    rhs maps a state vector to the rate vector (autonomous field).  The
+    rhs maps a state vector, passed as a fresh float64 array, to its rate
+    vector, or to anything that broadcasts to the state's shape (autonomous
+    field).  The
     predictor convolves the history with rectangle-rule weights, the
     corrector with trapezoid-rule weights, repeated cfg.corrector_sweeps
     times; the final evaluation seeds the next step's history.  Raises
@@ -209,22 +221,31 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     np.multiply(weights[0, :, None], rates[0], out=hist[1:, 0])
     np.multiply(weights[2, :, None], rates[0], out=hist[1:, 1])
     kernels = weights[:2]
-    # rev[:, n_steps - w:] holds both kernels at distances w, ..., 1
-    rev = kernels[:, ::-1]
+    # tails[w] holds both kernels at distances w, ..., 1: the weights of the
+    # w nodes of its own block that precede a node
+    block = min(_BLOCK, n_steps)
+    rev = np.ascontiguousarray(kernels[:, block - 1 :: -1])
+    tails = [rev[:, block - w :] for w in range(block)]
+    anchor = u0.tolist()
 
     for start in range(1, n_steps + 1, _BLOCK):
         stop = min(start + _BLOCK, n_steps + 1)
-        for i in range(start, stop):
-            sums = hist[i] + rev[:, n_steps - (i - start) :] @ rates[start:i]
-            value = u0 + c_pred * sums[0]
+        for i, (out_pred, out_corr), tail in zip(range(start, stop), hist[start:stop].tolist(), tails):
+            in_pred, in_corr = np.dot(tail, rates[start:i]).tolist()
+            value = [u + c_pred * (o + n) for u, o, n in zip(anchor, out_pred, in_pred)]
+            corr_sums = [o + n for o, n in zip(out_corr, in_corr)]
             for _ in range(sweeps):
-                value = u0 + c_corr * (np.asarray(rhs(value), dtype=float) + sums[1])
+                # the row store casts and broadcasts the rate as rates[0] does
+                rates[i] = rhs(np.array(value))
+                rate = rates[i].tolist()
+                value = [u + c_corr * (f + s) for u, f, s in zip(anchor, rate, corr_sums)]
 
-            # "not <=" also catches NaN and inf
-            if not np.abs(value).max() <= bound:
-                raise SolverDivergenceError(i * h, value, bound)
+            for v in value:
+                # "not <=" also catches NaN and inf
+                if not abs(v) <= bound:
+                    raise SolverDivergenceError(i * h, value, bound)
             states[i] = value
-            rates[i] = np.asarray(rhs(value), dtype=float)
+            rates[i] = rhs(np.array(value))
 
         if stop <= n_steps:
             # The blocks so far end a left half of the dyadic node tree whose

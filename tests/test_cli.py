@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import fracprey
+import fracprey.cli
 from fracprey import step_thresholds, thresholds
 from fracprey.cli import ConfigError, format_number, main, parse_config
 
@@ -324,6 +325,46 @@ class TestReproduce:
             scale = max(abs(expected), 1e-12)
             assert abs(computed - expected) <= max(5e-3 * scale, 5e-4), name
         assert "reproduction written" in capsys.readouterr().out
+
+    def test_row_off_its_reference_fails(self, tmp_path, capsys, monkeypatch):
+        # theta1 computes to 0.07255, so a reference moved to 0.0736 is 1e-3 off
+        scalars = tuple((n, 0.0736 if n == "theta1" else v) for n, v in fracprey.cli._REFERENCE_SCALARS)
+        monkeypatch.setattr(fracprey.cli, "_REFERENCE_SCALARS", scalars)
+        assert main(["reproduce", "--output", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        report = captured.out.splitlines()[1:]
+        verdicts = {line.split()[0]: line.split()[-1] for line in report}
+        assert verdicts.pop("theta1") == "FAIL"
+        assert set(verdicts.values()) == {"PASS"}
+        assert captured.err == "reproduce: 1 of 37 summary rows outside tolerance: theta1\n"
+        # the directory is complete, and summary.csv keeps its four columns
+        (outdir,) = tmp_path.glob("reproduce-*")
+        header, rows = read_csv(outdir / "summary.csv")
+        assert header == ["name", "expected", "computed", "abs_diff"]
+        assert all(len(row) == 4 for row in rows)
+        assert dict((r[0], float(r[1])) for r in rows)["theta1"] == 0.0736
+
+    @pytest.mark.parametrize(
+        "name,expected,value,ok",
+        [
+            ("c1", 0.8445, 0.8445 + 4.9e-4, True),
+            ("c1", 0.8445, 0.8445 + 5.1e-4, False),
+            ("c1", 0.8445, float("nan"), False),
+            ("gamma", -1.9961e-8, -1.9961e-8 * 1.09, True),
+            ("gamma", -1.9961e-8, -1.9961e-8 * 1.11, False),
+            ("gamma", -1.9961e-8, 1e-12, False),
+        ],
+    )
+    def test_scalar_tolerances(self, name, expected, value, ok):
+        assert fracprey.cli._scalar_passes(name, expected, value) is ok
+
+    @pytest.mark.parametrize(
+        "expected,value,ok",
+        [(26269.0, 26269.0 + 131.0, True), (26269.0, 26269.0 + 132.0, False),
+         (0.0041, 0.0041 + 4.9e-4, True), (0.0041, 0.0041 + 5.1e-4, False)],
+    )
+    def test_step_tolerances(self, expected, value, ok):
+        assert fracprey.cli._step_passes(expected, value) is ok
 
     def test_same_second_run_does_not_overwrite(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("fracprey.cli.time.strftime", lambda fmt: "20260101-000000")

@@ -20,7 +20,7 @@ from fracprey import (
     pece_solve,
     vector_field,
 )
-from fracprey.pece import MAX_GRID_VALUES, _fft_length, history_weights
+from fracprey.pece import MAX_GRID_VALUES, _add_history, _fft_length, history_weights
 
 
 def linear_decay(u):
@@ -94,6 +94,25 @@ class TestClosedForm:
         assert np.allclose(traj.states[:, 0], exact, rtol=1e-12, atol=0.0)
 
 
+class TestAddHistory:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n_src,n_dst", [(64, 64), (256, 256), (256, 37), (128, 1)])
+    def test_matches_direct_sums(self, d, n_src, n_dst):
+        # n_dst < n_src is the last level of a grid that ends inside it
+        rng = np.random.default_rng([d, n_src, n_dst])
+        rates = rng.standard_normal((n_src, d))
+        kernels = history_weights(0.85, n_src + n_dst)[:2]
+        start = rng.standard_normal((n_dst, 2, d))
+        hist = start.copy()
+        _add_history(rates, kernels, hist)
+        # destination node j lies n_src + j - k nodes after source node k
+        expected = start.copy()
+        for j in range(n_dst):
+            for q in range(2):
+                expected[j, q] += kernels[q, j : n_src + j][::-1] @ rates
+        assert np.allclose(hist, expected, rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
+
+
 class TestDirectOracle:
     @pytest.mark.parametrize("sweeps", [1, 3])
     @pytest.mark.parametrize(
@@ -114,7 +133,7 @@ class TestDirectOracle:
 
 
 # SHA-256 of states.tobytes() for 3000 steps from (10, 5) at h = 0.05, as the
-# solver produced them before its step loop moved onto Python floats
+# vector (numpy per step) form of the solver computed them
 GOLDEN_STATES = {
     ("high_complexity", 1, 0.8): "8520abb439805c4b5580c8322550df85d19b67c5d39d1e86731038be64be73e5",
     ("high_complexity", 1, 0.95): "a5a25f6420df32eb9498c66ad7185ab28b8f85a75d20dd17e75d9eb182246fa3",
@@ -152,6 +171,31 @@ class TestLinearProblem:
         cfg = SolverConfig(step=0.01, horizon=1.0)
         traj = pece_solve(linear_decay, [1.0], 0.8, cfg)
         assert traj.states[-1, 0] == pytest.approx(mittag_leffler(0.8, -1.0), abs=5e-3)
+
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    @pytest.mark.parametrize("m", [0.8, 1.0])
+    def test_diagonal_system_per_component(self, m, sweeps):
+        # three uncoupled components of D^m u = -lambda u: each must follow
+        # u0 E_m(-lambda t^m) and agree with its own one-component solve
+        lam = np.array([0.5, 1.3, 2.0])
+        u0 = np.array([1.0, -2.0, 3.0])
+        cfg = SolverConfig(step=0.01, horizon=2.0, corrector_sweeps=sweeps)
+        traj = pece_solve(lambda u: -lam * u, u0, m, cfg)
+        assert traj.states.shape == (201, 3)
+        nodes = np.arange(0, 201, 10)
+        exact = np.array([[u0[c] * mittag_leffler(m, -lam[c] * t**m) for c in range(3)] for t in traj.times[nodes]])
+        assert np.max(np.abs(traj.states[nodes] - exact) / np.abs(u0)) <= 5e-4
+        for c in range(3):
+            alone = pece_solve(lambda u: -lam[c] * u, [u0[c]], m, cfg).states[:, 0]
+            assert np.max(np.abs(traj.states[:, c] - alone)) <= 1e-14 * np.max(np.abs(alone))
+
+    def test_rate_as_scalar_or_list(self):
+        # rhs may return anything that broadcasts onto a float64 rate row
+        cfg = SolverConfig(step=0.1, horizon=5.0, corrector_sweeps=2)
+        ones = pece_solve(lambda u: np.ones_like(u), [0.0], 0.9, cfg).states
+        assert np.array_equal(pece_solve(lambda u: 1, [0.0], 0.9, cfg).states, ones)
+        pair = pece_solve(lambda u: np.array([-u[0], -2.0 * u[1]]), [1.0, 1.0], 0.9, cfg).states
+        assert np.array_equal(pece_solve(lambda u: [-u[0], -2.0 * u[1]], [1.0, 1.0], 0.9, cfg).states, pair)
 
     def test_zero_field(self):
         cfg = SolverConfig(step=0.1, horizon=1.0)
@@ -223,6 +267,28 @@ class TestDivergence:
         with pytest.raises(SolverDivergenceError):
             pece_solve(lambda u: u, [1.0], 1.0, cfg)
 
+    # each case diverges first at the node t; the non-finite entry sits in the
+    # last component, where a max() over the components would miss a NaN, and
+    # an int bound must still be compared as a number
+    @pytest.mark.parametrize(
+        "rhs,x0,m,cfg,t",
+        [
+            (lambda u: np.array([-u[0], -u[1] if u[0] > 0.5 else math.nan]), [1.0, 1.0], 0.9,
+             SolverConfig(step=0.05, horizon=10.0), 0.65),
+            (lambda u: -u, [1.0, math.inf], 0.9, SolverConfig(step=0.05, horizon=10.0), 0.05),
+            (lambda u: u, [1.0], 1.0, SolverConfig(step=0.1, horizon=30.0, blowup_bound=100), 4.7),
+            (lambda u: u, [1.0, 0.5], 0.8, SolverConfig(step=0.1, horizon=30.0, blowup_bound=100), 4.5),
+        ],
+        ids=["nan_rate", "inf_start", "int_bound", "int_bound_2d"],
+    )
+    def test_raises_at_first_bad_node(self, rhs, x0, m, cfg, t):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(SolverDivergenceError) as info:
+                pece_solve(rhs, x0, m, cfg)
+        assert info.value.t == pytest.approx(t, abs=1e-12)
+        assert info.value.bound == cfg.blowup_bound
+        assert not np.all(np.abs(info.value.state) <= cfg.blowup_bound)
+
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
@@ -250,6 +316,20 @@ class TestResources:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_peak_allocation_of_long_solve(self, mid_complexity):
+        # states, rates, history sums and weights take about 1.9 MB at 20k
+        # steps; the largest FFT level adds about 1.3 MB on top
+        field = vector_field(mid_complexity)
+        cfg = SolverConfig(step=0.05, horizon=0.05 * 20_000)
+        pece_solve(field, [10.0, 5.0], 0.9, SolverConfig(step=0.05, horizon=1.0))
+        tracemalloc.start()
+        try:
+            pece_solve(field, [10.0, 5.0], 0.9, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_500_000
 
     def test_no_reference_cycles(self, mid_complexity):
         gc.collect()
