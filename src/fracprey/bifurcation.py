@@ -8,7 +8,7 @@ import numpy as np
 
 from .discrete import DiscreteConfig, detect_structural_bifurcations, iterate_orbit
 from .model import ModelParams, thresholds
-from .pece import Trajectory
+from .pece import MAX_GRID_VALUES, Trajectory
 from .stability import critical_order
 
 __all__ = [
@@ -73,7 +73,8 @@ def sweep_step_size(
     (optionally nudged by the relative perturbation `kick`, which keeps a
     followed orbit from sitting numerically frozen on an unstable fixed
     point); otherwise every point restarts from x0.  Escaped orbits are
-    flagged and the follow state resets to x0.
+    flagged and the follow state resets to x0.  Raises ValueError, before
+    allocating, when n_points x n_samples x 2 exceeds MAX_GRID_VALUES.
     """
     if not 0.0 < s_min < s_max:
         raise ValueError(f"need 0 < s_min < s_max, got {s_min!r}, {s_max!r}")
@@ -81,6 +82,11 @@ def sweep_step_size(
         raise ValueError(f"n_points must be >= 2, got {n_points!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
+    if not n_points * n_samples * 2 <= MAX_GRID_VALUES:
+        raise ValueError(
+            f"sweep of {n_points} points x {n_samples} samples x 2 state components exceeds "
+            f"the budget of {MAX_GRID_VALUES} values; lower n_points or n_samples"
+        )
 
     s_values = np.linspace(s_min, s_max, n_points)
     start = np.asarray(x0, dtype=float)
@@ -141,8 +147,13 @@ def stability_region_cm(p: ModelParams, c_grid, tolerance: float = 1e-9) -> Regi
     Only complexities strictly inside (0, c2) produce an order-driven
     stability switch; grid values outside that window (within `tolerance`
     of its ends) are skipped with a reason.  Below the returned curve the
-    interior state is stable, above it unstable.
+    interior state is stable, above it unstable.  Raises ValueError for an
+    empty grid or a tolerance that is not positive.
     """
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
+    if len(c_grid) == 0:
+        raise ValueError("c_grid must hold at least one value")
     th = thresholds(p)
     points = []
     skipped = []

@@ -3,8 +3,12 @@
 Subcommands map one-to-one onto the library operations; parameters come from
 a `key = value` config file (with `#` comments and one optional `[mode]`
 section per mode) overridden by flags of the same name.  All numeric output
-is CSV (UTF-8, LF, '.' decimal separator, 15 significant digits); plots are
-an optional convenience on top of the CSV files.
+is CSV (UTF-8, LF, '.' decimal separator, 15 significant digits).
+
+Two tables drive the layer: _OPTIONS gives each option key its parser and
+default, MODES gives each mode its runner and its required and optional
+keys.  Range checks are the library's own validators: a ValueError they
+raise ends the run like a malformed config does.
 
 Exit codes: 0 success, 2 config/domain error, 3 numerical escape or a
 `reproduce` summary row outside its tolerance, 4 unwritable output path.
@@ -14,71 +18,30 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import make_dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .bifurcation import export_series, stability_region_cm, sweep_step_size
 from .discrete import (
+    ESCAPE_BOUND,
     DiscreteConfig,
     classify_fixed_points,
     hopf_normal_form,
     iterate_orbit,
     step_thresholds,
 )
-from .model import ModelParams, ParameterError, equilibria, jacobian, thresholds, vector_field
-from .pece import SolverConfig, SolverDivergenceError, pece_solve
+from .model import ModelParams, equilibria, interior_point, jacobian, thresholds, vector_field
+from .pece import MAX_GRID_VALUES, SolverConfig, SolverDivergenceError, pece_solve
+from .special import _check_order
 from .stability import classify_equilibria, critical_order, global_stability_check
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run"]
 
 PARAM_KEYS = ("r", "K", "alpha", "h", "theta", "c", "d")
-TOP_KEYS = PARAM_KEYS + ("mode", "output", "seed")
-
-# key -> (converter tag, constraint text or None)
-_OPTION_SPEC = {
-    "m": ("float", "0 < m <= 1"),
-    "step": ("float", "step > 0"),
-    "horizon": ("float", "horizon >= step"),
-    "x0": ("pair", None),
-    "corrector_sweeps": ("int", "corrector_sweeps >= 1"),
-    "s": ("float", "s > 0"),
-    "iterations": ("int", "iterations >= 1"),
-    "transient": ("int", "transient >= 0"),
-    "n_samples": ("int", "n_samples >= 1"),
-    "s_min": ("float", "s_min > 0"),
-    "s_max": ("float", "s_max > s_min"),
-    "n_points": ("int", "n_points >= 2"),
-    "follow": ("bool", None),
-    "kick": ("float", None),
-    "c_min": ("float", None),
-    "c_max": ("float", None),
-    "c_points": ("int", "c_points >= 1"),
-    "tolerance": ("float", "tolerance > 0"),
-}
-
-MODE_OPTION_KEYS = {
-    "simulate": ("m", "step", "horizon", "x0", "corrector_sweeps"),
-    "equilibria": (),
-    "stability": ("m",),
-    "thresholds": ("m",),
-    "discrete": ("m", "s", "iterations", "transient", "x0"),
-    "normal-form": ("m",),
-    "sweep": ("m", "s_min", "s_max", "n_points", "transient", "n_samples", "x0", "follow", "kick"),
-    "region": ("c_min", "c_max", "c_points", "tolerance"),
-    "reproduce": (),
-}
-
-_REQUIRED = {
-    "simulate": ("m", "step", "horizon"),
-    "stability": ("m",),
-    "discrete": ("m", "s", "iterations"),
-    "normal-form": ("m",),
-    "sweep": ("m", "s_min", "s_max", "n_points"),
-    "region": ("c_min", "c_max", "c_points"),
-}
+TOP_KEYS = PARAM_KEYS + ("mode", "output")
 
 # parameters every reproduce run is anchored to
 _REFERENCE_PARAMS = dict(r=2.65, K=898.0, alpha=0.045, h=0.0437, theta=0.215, c=0.86, d=1.06)
@@ -88,31 +51,65 @@ class ConfigError(ValueError):
     """Malformed or out-of-range configuration input."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    params: Optional[ModelParams]
-    mode: str
-    output: Optional[str] = None
-    seed: int = 0
-    m: Optional[float] = None
-    step: Optional[float] = None
-    horizon: Optional[float] = None
-    x0: tuple = (10.0, 5.0)
-    corrector_sweeps: int = 1
-    s: Optional[float] = None
-    iterations: Optional[int] = None
-    transient: Optional[int] = None
-    n_samples: int = 200
-    s_min: Optional[float] = None
-    s_max: Optional[float] = None
-    n_points: Optional[int] = None
-    follow: bool = True
-    kick: float = 0.0
-    c_min: Optional[float] = None
-    c_max: Optional[float] = None
-    c_points: Optional[int] = None
-    tolerance: float = 1e-9
-    plot: bool = False
+def _parse_bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+def _parse_pair(text: str) -> tuple:
+    """A start state 'x, y': finite, and no further out than an orbit may go
+    before it counts as escaped."""
+    parts = text.replace(",", " ").split()
+    if len(parts) != 2:
+        raise ValueError(text)
+    x, y = float(parts[0]), float(parts[1])
+    if not (abs(x) <= ESCAPE_BOUND and abs(y) <= ESCAPE_BOUND):
+        raise ValueError(text)
+    return x, y
+
+
+# what an error message says each parser expected
+_EXPECTED = {
+    float: "float",
+    int: "int",
+    _parse_bool: "bool",
+    _parse_pair: f"pair of finite numbers within +-{ESCAPE_BOUND:g}",
+}
+
+# option key -> (parser, default); the library validates the ranges.  A
+# None transient means the mode's own default: 0 for discrete, 2000 for sweep.
+_OPTIONS = {
+    "m": (float, None),
+    "step": (float, None),
+    "horizon": (float, None),
+    "x0": (_parse_pair, (10.0, 5.0)),
+    "corrector_sweeps": (int, 1),
+    "s": (float, None),
+    "iterations": (int, None),
+    "transient": (int, None),
+    "n_samples": (int, 200),
+    "s_min": (float, None),
+    "s_max": (float, None),
+    "n_points": (int, None),
+    "follow": (_parse_bool, True),
+    "kick": (float, 0.0),
+    "c_min": (float, None),
+    "c_max": (float, None),
+    "c_points": (int, None),
+    "tolerance": (float, 1e-9),
+}
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("params", Optional[ModelParams]), ("mode", str), ("output", Optional[str], None)]
+    + [(key, Any, default) for key, (_, default) in _OPTIONS.items()],
+    frozen=True,
+)
+RunConfig.__doc__ = "One CLI run: the model parameters, the mode and every option key."
 
 
 def format_number(value: float) -> str:
@@ -136,45 +133,35 @@ def write_csv(path, columns, rows) -> None:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
+def _write_series(path, source) -> None:
+    """Write a trajectory or an orbit as (t or n, x, y) rows."""
+    ds = export_series(source)
+    write_csv(path, ds.columns, ds.rows)
+
+
+def _sweep_rows(result) -> list:
+    """(param, x, y) rows of a step-size sweep."""
+    return [(float(value), float(st[0]), float(st[1]))
+            for value, block in zip(result.parameter_values, result.samples) for st in block]
+
+
 # --- config parsing ---------------------------------------------------------
 
 
 def _convert(key: str, text: str, lineno=None):
-    where = f"line {lineno}: " if lineno is not None else ""
-    tag, _ = _OPTION_SPEC.get(key, ("float", None))
-    if key in PARAM_KEYS or key == "kick" or key == "tolerance":
-        tag = "float"
-    if key == "seed":
-        tag = "int"
-    if key in ("mode", "output"):
-        return text
+    """Parse one value; the model parameters are floats."""
+    parser = _OPTIONS[key][0] if key in _OPTIONS else float
     try:
-        if tag == "float":
-            return float(text)
-        if tag == "int":
-            return int(text)
-        if tag == "bool":
-            low = text.strip().lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(text)
-        if tag == "pair":
-            parts = [t for t in text.replace(",", " ").split() if t]
-            if len(parts) != 2:
-                raise ValueError(text)
-            return (float(parts[0]), float(parts[1]))
+        return parser(text)
     except ValueError:
+        where = f"line {lineno}: " if lineno is not None else ""
         raise ConfigError(
-            f"{where}invalid value for '{key}': expected {tag}, got '{text}'"
+            f"{where}invalid value for '{key}': expected {_EXPECTED[parser]}, got '{text}'"
         ) from None
-    raise ConfigError(f"{where}unknown key '{key}'")
 
 
 def _parse_raw(text: str):
-    top = {}
-    sections = {}
+    sections = {None: {}}  # None holds the top-level keys
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -182,75 +169,37 @@ def _parse_raw(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in MODE_OPTION_KEYS:
+            if name not in MODES:
                 raise ConfigError(f"line {lineno}: unknown section '[{name}]'")
             section = name
             sections.setdefault(name, {})
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{line}'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if section is None:
-            if key not in TOP_KEYS:
-                raise ConfigError(f"line {lineno}: unknown key '{key}'")
-            top[key] = (value, lineno)
-        else:
-            if key not in MODE_OPTION_KEYS[section]:
-                raise ConfigError(
-                    f"line {lineno}: key '{key}' is not valid in section [{section}]"
-                )
-            sections[section][key] = (value, lineno)
-    return top, sections
-
-
-def _check_ranges(cfg: RunConfig) -> None:
-    def fail(name, constraint, value):
-        raise ConfigError(f"'{name}' must satisfy {constraint}, got {value!r}")
-
-    if cfg.m is not None and not 0.0 < cfg.m <= 1.0:
-        fail("m", "0 < m <= 1", cfg.m)
-    if cfg.step is not None and not cfg.step > 0:
-        fail("step", "step > 0", cfg.step)
-    if cfg.horizon is not None and cfg.step is not None and cfg.horizon < cfg.step:
-        fail("horizon", "horizon >= step", cfg.horizon)
-    if cfg.s is not None and not cfg.s > 0:
-        fail("s", "s > 0", cfg.s)
-    if cfg.iterations is not None and cfg.iterations < 1:
-        fail("iterations", "iterations >= 1", cfg.iterations)
-    if cfg.transient is not None and cfg.transient < 0:
-        fail("transient", "transient >= 0", cfg.transient)
-    if cfg.n_samples < 1:
-        fail("n_samples", "n_samples >= 1", cfg.n_samples)
-    if cfg.corrector_sweeps < 1:
-        fail("corrector_sweeps", "corrector_sweeps >= 1", cfg.corrector_sweeps)
-    if cfg.s_min is not None and not cfg.s_min > 0:
-        fail("s_min", "s_min > 0", cfg.s_min)
-    if cfg.s_min is not None and cfg.s_max is not None and not cfg.s_max > cfg.s_min:
-        fail("s_max", "s_max > s_min", cfg.s_max)
-    if cfg.n_points is not None and cfg.n_points < 2:
-        fail("n_points", "n_points >= 2", cfg.n_points)
-    if cfg.c_points is not None and cfg.c_points < 1:
-        fail("c_points", "c_points >= 1", cfg.c_points)
-    if not cfg.tolerance > 0:
-        fail("tolerance", "tolerance > 0", cfg.tolerance)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if section is None and key not in TOP_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if section is not None and key not in MODES[section].keys:
+            raise ConfigError(f"line {lineno}: key '{key}' is not valid in section [{section}]")
+        sections[section][key] = (value, lineno)
+    return sections.pop(None), sections
 
 
 def build_config(top, sections, overrides) -> RunConfig:
-    """Merge file values and flag overrides into a validated RunConfig."""
+    """Merge file values and parsed flag overrides into a RunConfig.
+
+    Beyond the parameters, which ModelParams validates, only the order m is
+    checked here; every other range is left to the library call it feeds.
+    """
     mode = overrides.get("mode")
     if mode is None and "mode" in top:
         mode = top["mode"][0]
     if mode is None:
         raise ConfigError("missing required key 'mode'")
-    if mode not in MODE_OPTION_KEYS:
+    if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}'")
 
-    values = {}
-    for key in PARAM_KEYS + ("seed",):
-        if key in top:
-            values[key] = _convert(key, *top[key])
+    values = {key: _convert(key, *top[key]) for key in PARAM_KEYS if key in top}
     for key, (text, lineno) in sections.get(mode, {}).items():
         values[key] = _convert(key, text, lineno)
     if "output" in top:
@@ -260,70 +209,38 @@ def build_config(top, sections, overrides) -> RunConfig:
             values[key] = val
 
     if mode == "reproduce":
-        param_values = {k: values.pop(k, _REFERENCE_PARAMS[k]) for k in PARAM_KEYS}
-    else:
-        missing = [k for k in PARAM_KEYS if k not in values]
-        if missing:
-            raise ConfigError(f"missing required key '{missing[0]}'")
-        param_values = {k: values.pop(k) for k in PARAM_KEYS}
-    try:
-        params = ModelParams(**param_values)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from None
-
-    for key in _REQUIRED.get(mode, ()):
+        values = {**_REFERENCE_PARAMS, **values}
+    for key in PARAM_KEYS + MODES[mode].required:
         if key not in values:
             raise ConfigError(f"missing required key '{key}' for mode {mode}")
-
-    cfg = RunConfig(params=params, mode=mode, **values)
-    _check_ranges(cfg)
-    return cfg
+    try:
+        params = ModelParams(**{k: values.pop(k) for k in PARAM_KEYS})
+        if "m" in values:
+            _check_order(values["m"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return RunConfig(params=params, mode=mode, **values)
 
 
 def parse_config(source: str) -> RunConfig:
-    """Parse and validate a config file's text (no flag overrides)."""
+    """Parse a config file's text (no flag overrides)."""
     top, sections = _parse_raw(source)
     return build_config(top, sections, {})
 
 
 # --- per-mode runners -------------------------------------------------------
+# Each runner calls the library and write_csv through this module's globals,
+# so that a binding swapped on the module is the one a run uses.
 
 
-def _out_path(cfg: RunConfig, default: str) -> str:
-    return cfg.output if cfg.output else default
+# row-name prefix of each equilibrium kind
+_LABELS = {"trivial": "E0", "predator_free": "E1", "interior": "Estar"}
 
 
-def _maybe_plot(cfg: RunConfig, columns, rows, csv_path) -> None:
-    if not cfg.plot:
-        return
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("plotting requested but matplotlib is not installed", file=sys.stderr)
-        return
-    data = np.array([[float(v) for v in row] for row in rows]) if rows else np.empty((0, len(columns)))
-    fig, ax = plt.subplots(figsize=(7, 4.5))
-    if data.size:
-        if len(columns) == 3:
-            ax.plot(data[:, 0], data[:, 1], ".", ms=2, label=columns[1])
-            ax.plot(data[:, 0], data[:, 2], ".", ms=2, label=columns[2])
-            ax.legend()
-        else:
-            ax.plot(data[:, 0], data[:, 1], ".", ms=2)
-        ax.set_xlabel(columns[0])
-        ax.set_ylabel(",".join(columns[1:]))
-    fig.tight_layout()
-    fig.savefig(str(Path(csv_path).with_suffix(".png")), dpi=130)
-    plt.close(fig)
-
-
-def _rows_equilibria(p: ModelParams):
+def _rows_equilibria(p: ModelParams, m: Optional[float]):
     rows = []
     for eq in equilibria(p):
-        label = {"trivial": "E0", "predator_free": "E1", "interior": "Estar"}[eq.kind]
+        label = _LABELS[eq.kind]
         rows.append((f"{label}.exists", eq.exists))
         rows.append((f"{label}.x", eq.point[0] if eq.point else None))
         rows.append((f"{label}.y", eq.point[1] if eq.point else None))
@@ -333,7 +250,7 @@ def _rows_equilibria(p: ModelParams):
 def _rows_stability(p: ModelParams, m: float):
     rows = []
     for rep in classify_equilibria(p, m):
-        label = {"trivial": "E0", "predator_free": "E1", "interior": "Estar"}[rep.equilibrium.kind]
+        label = _LABELS[rep.equilibrium.kind]
         rows.append((f"{label}.classification", rep.classification))
         for i, lam in enumerate(rep.eigenvalues, start=1):
             rows.append((f"{label}.eig{i}_re", complex(lam).real))
@@ -365,26 +282,11 @@ def _rows_thresholds(p: ModelParams, m: Optional[float]):
 
 def _rows_normal_form(p: ModelParams, m: float):
     nf = hopf_normal_form(p, m)
-    rows = [
-        ("s4", nf.s4),
-        ("S1", nf.S1),
-        ("G", nf.G),
-        ("H", nf.H),
-        ("c11", nf.c11),
-        ("c12", nf.c12),
-        ("c21", nf.c21),
-        ("c22", nf.c22),
-        ("c13", nf.c13),
-        ("c23", nf.c23),
-        ("delta", nf.delta),
-        ("beta", nf.beta),
-        ("lambda_re", nf.lambda1.real),
-        ("lambda_im", nf.lambda1.imag),
-        ("lambda_modulus", abs(nf.lambda1)),
-        ("transversality", nf.transversality),
-        ("nonresonance_ok", nf.nonresonance_ok),
-        ("gamma", nf.gamma),
-    ]
+    names = ("s4", "S1", "G", "H", "c11", "c12", "c21", "c22", "c13", "c23", "delta", "beta")
+    rows = [(name, getattr(nf, name)) for name in names]
+    lam = nf.lambda1
+    rows += [("lambda_re", lam.real), ("lambda_im", lam.imag), ("lambda_modulus", abs(lam))]
+    rows += [(name, getattr(nf, name)) for name in ("transversality", "nonresonance_ok", "gamma")]
     for name in ("xi11", "xi20", "xi02", "xi21"):
         val = getattr(nf, name)
         rows.append((f"{name}_re", val.real))
@@ -392,99 +294,71 @@ def _rows_normal_form(p: ModelParams, m: float):
     return rows
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a validated RunConfig; returns the process exit code."""
+def _name_value(default: str, rows: Callable) -> Callable:
+    """Runner writing the (name, value) rows of a report on (params, m) to
+    one CSV; m is None in a mode without it."""
+
+    def runner(cfg: RunConfig) -> int:
+        write_csv(cfg.output or default, ("name", "value"), rows(cfg.params, cfg.m))
+        return 0
+
+    return runner
+
+
+def _run_simulate(cfg: RunConfig) -> int:
+    solver = SolverConfig(step=cfg.step, horizon=cfg.horizon, corrector_sweeps=cfg.corrector_sweeps)
     try:
-        if cfg.mode == "simulate":
-            solver = SolverConfig(
-                step=cfg.step,
-                horizon=cfg.horizon,
-                corrector_sweeps=cfg.corrector_sweeps,
-            )
-            path = _out_path(cfg, "simulate.csv")
-            try:
-                traj = pece_solve(vector_field(cfg.params), cfg.x0, cfg.m, solver)
-            except SolverDivergenceError as exc:
-                print(f"numerical escape: {exc}", file=sys.stderr)
-                return 3
-            ds = export_series(traj)
-            write_csv(path, ds.columns, ds.rows)
-            _maybe_plot(cfg, ds.columns, ds.rows, path)
+        traj = pece_solve(vector_field(cfg.params), cfg.x0, cfg.m, solver)
+    except SolverDivergenceError as exc:
+        print(f"numerical escape: {exc}", file=sys.stderr)
+        return 3
+    _write_series(cfg.output or "simulate.csv", traj)
+    return 0
 
-        elif cfg.mode == "equilibria":
-            write_csv(_out_path(cfg, "equilibria.csv"), ("name", "value"), _rows_equilibria(cfg.params))
 
-        elif cfg.mode == "stability":
-            write_csv(_out_path(cfg, "stability.csv"), ("name", "value"), _rows_stability(cfg.params, cfg.m))
+def _run_discrete(cfg: RunConfig) -> int:
+    orbit_cfg = DiscreteConfig(s=cfg.s, m=cfg.m, iterations=cfg.iterations, transient=cfg.transient or 0)
+    orbit = iterate_orbit(cfg.params, orbit_cfg, cfg.x0)
+    _write_series(cfg.output or "discrete.csv", orbit)
+    if orbit.escaped:
+        print(f"numerical escape after {len(orbit.states) - 1} iterations", file=sys.stderr)
+        return 3
+    return 0
 
-        elif cfg.mode == "thresholds":
-            write_csv(_out_path(cfg, "thresholds.csv"), ("name", "value"), _rows_thresholds(cfg.params, cfg.m))
 
-        elif cfg.mode == "discrete":
-            orbit = iterate_orbit(
-                cfg.params,
-                DiscreteConfig(s=cfg.s, m=cfg.m, iterations=cfg.iterations, transient=cfg.transient or 0),
-                cfg.x0,
-            )
-            ds = export_series(orbit)
-            path = _out_path(cfg, "discrete.csv")
-            write_csv(path, ds.columns, ds.rows)
-            _maybe_plot(cfg, ds.columns, ds.rows, path)
-            if orbit.escaped:
-                print(f"numerical escape after {len(orbit.states) - 1} iterations", file=sys.stderr)
-                return 3
+def _run_sweep(cfg: RunConfig) -> int:
+    result = sweep_step_size(
+        cfg.params,
+        cfg.m,
+        cfg.s_min,
+        cfg.s_max,
+        cfg.n_points,
+        transient=cfg.transient if cfg.transient is not None else 2000,
+        n_samples=cfg.n_samples,
+        x0=cfg.x0,
+        follow=cfg.follow,
+        kick=cfg.kick,
+    )
+    for value, escaped in zip(result.parameter_values, result.escaped):
+        if escaped:
+            print(f"orbit escaped at s={value:g}", file=sys.stderr)
+    write_csv(cfg.output or "sweep.csv", ("param", "x", "y"), _sweep_rows(result))
+    for event in result.events:
+        print(f"event: {event.kind} of {event.equilibrium} at s={event.s:.6g}")
+    return 0
 
-        elif cfg.mode == "normal-form":
-            rows = _rows_normal_form(cfg.params, cfg.m)
-            write_csv(_out_path(cfg, "normal_form.csv"), ("name", "value"), rows)
 
-        elif cfg.mode == "sweep":
-            result = sweep_step_size(
-                cfg.params,
-                cfg.m,
-                cfg.s_min,
-                cfg.s_max,
-                cfg.n_points,
-                transient=cfg.transient if cfg.transient is not None else 2000,
-                n_samples=cfg.n_samples,
-                x0=cfg.x0,
-                follow=cfg.follow,
-                kick=cfg.kick,
-            )
-            rows = []
-            for value, block, escaped in zip(result.parameter_values, result.samples, result.escaped):
-                for state in block:
-                    rows.append((float(value), float(state[0]), float(state[1])))
-                if escaped:
-                    print(f"orbit escaped at s={value:g}", file=sys.stderr)
-            path = _out_path(cfg, "sweep.csv")
-            write_csv(path, ("param", "x", "y"), rows)
-            _maybe_plot(cfg, ("param", "x", "y"), rows, path)
-            for event in result.events:
-                print(f"event: {event.kind} of {event.equilibrium} at s={event.s:.6g}")
-
-        elif cfg.mode == "region":
-            grid = np.linspace(cfg.c_min, cfg.c_max, cfg.c_points)
-            result = stability_region_cm(cfg.params, grid, tolerance=cfg.tolerance)
-            for c, reason in result.skipped:
-                print(f"skipped c={c:g}: {reason}", file=sys.stderr)
-            path = _out_path(cfg, "region.csv")
-            write_csv(path, ("c", "m_star"), result.points)
-            _maybe_plot(cfg, ("c", "m_star"), result.points, path)
-
-        elif cfg.mode == "reproduce":
-            return _reproduce(cfg.output)
-
-        else:  # pragma: no cover - build_config rejects unknown modes
-            raise ConfigError(f"unknown mode '{cfg.mode}'")
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        # library validators (e.g. DiscreteConfig, the normal-form
-        # preconditions) reject what build_config let through
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def _run_region(cfg: RunConfig) -> int:
+    if not cfg.c_points <= MAX_GRID_VALUES:
+        raise ValueError(
+            f"region grid of {cfg.c_points} points exceeds the budget of "
+            f"{MAX_GRID_VALUES} values; lower c_points"
+        )
+    grid = np.linspace(cfg.c_min, cfg.c_max, cfg.c_points)
+    result = stability_region_cm(cfg.params, grid, tolerance=cfg.tolerance)
+    for c, reason in result.skipped:
+        print(f"skipped c={c:g}: {reason}", file=sys.stderr)
+    write_csv(cfg.output or "region.csv", ("c", "m_star"), result.points)
     return 0
 
 
@@ -541,13 +415,11 @@ def _step_passes(expected: float, value: float) -> bool:
     return abs(value - expected) <= max(STEP_REL_TOL * abs(expected), STEP_ABS_TOL)
 
 
-def _reproduce(base_output: Optional[str]) -> int:
-    """Re-run the reference analyses into a timestamped directory; exit 3
-    when a summary row misses its reference value."""
-    from .model import interior_point
-
+def _run_reproduce(cfg: RunConfig) -> int:
+    """Re-run the reference analyses into a timestamped directory under
+    cfg.output; exit 3 when a summary row misses its reference value."""
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    outdir = Path(base_output or ".") / f"reproduce-{stamp}"
+    outdir = Path(cfg.output or ".") / f"reproduce-{stamp}"
     # an earlier run in the same second owns this directory: fail, never overwrite
     outdir.mkdir(parents=True, exist_ok=False)
 
@@ -555,12 +427,9 @@ def _reproduce(base_output: Optional[str]) -> int:
     p45 = replace(p86, c=0.45)
     p05 = replace(p86, c=0.05)
 
-    computed = {}
-    th = thresholds(p86)
-    computed["c1"] = th.c1
-    computed["theta1"] = th.theta1
-    computed["c2"] = th.c2
-    computed["theta2"] = th.theta2
+    # the report rows of the thresholds and normal-form modes hold c1 .. theta2,
+    # lambda_re .. lambda_modulus, transversality and gamma
+    computed = dict(_rows_thresholds(p86, None) + _rows_normal_form(p45, 0.95))
     x_star, y_star = interior_point(p45)
     computed["x_star_c045"] = x_star
     computed["y_star_c045"] = y_star
@@ -569,13 +438,7 @@ def _reproduce(base_output: Optional[str]) -> int:
     computed["trace_interior_c005"] = jac05.trace
     computed["two_sqrt_det_c005"] = 2.0 * math.sqrt(jac05.det)
     computed["m_star_c005"] = critical_order(p05).value
-    nf = hopf_normal_form(p45, 0.95)
-    computed["lambda_re"] = nf.lambda1.real
-    computed["lambda_im"] = nf.lambda1.imag
-    computed["lambda_modulus"] = abs(nf.lambda1)
-    computed["transversality"] = nf.transversality
-    computed["gamma"] = nf.gamma
-    at_c1 = replace(p86, c=th.c1)
+    at_c1 = replace(p86, c=computed["c1"])
     st_c1 = step_thresholds(at_c1, 0.95)
     flip = classify_fixed_points(at_c1, st_c1.s5, 0.95)[1]
     computed["flip_eig1"] = min(e.real for e in flip.eigenvalues)
@@ -588,33 +451,26 @@ def _reproduce(base_output: Optional[str]) -> int:
         passed.append(_scalar_passes(name, expected, value))
 
     table_rows = []
-    for m, ref_s2, ref_s3, ref_s4, ref_s5 in _REFERENCE_STEP_TABLE:
+    for m, *references in _REFERENCE_STEP_TABLE:
         st86 = step_thresholds(p86, m)
         st45 = step_thresholds(p45, m)
-        table_rows.append((m, st86.s2, st86.s3, st45.s4, st45.s5))
-        for name, expected, value in (
-            (f"s2_m{m:g}", ref_s2, st86.s2),
-            (f"s3_m{m:g}", ref_s3, st86.s3),
-            (f"s4_m{m:g}", ref_s4, st45.s4),
-            (f"s5_m{m:g}", ref_s5, st45.s5),
-        ):
-            summary.append((name, expected, value, abs(value - expected)))
+        steps = (st86.s2, st86.s3, st45.s4, st45.s5)
+        table_rows.append((m, *steps))
+        for name, expected, value in zip(("s2", "s3", "s4", "s5"), references, steps):
+            summary.append((f"{name}_m{m:g}", expected, value, abs(value - expected)))
             passed.append(_step_passes(expected, value))
     write_csv(outdir / "step_size_table.csv", ("m", "s2", "s3", "s4", "s5"), table_rows)
 
     for m in (0.8, 0.95, 1.0):
         traj = pece_solve(vector_field(p86), (10.0, 5.0), m, SolverConfig(step=0.05, horizon=80.0))
-        ds = export_series(traj)
-        write_csv(outdir / f"predator_free_series_m{int(round(m * 100)):03d}.csv", ds.columns, ds.rows)
+        _write_series(outdir / f"predator_free_series_m{int(round(m * 100)):03d}.csv", traj)
     traj = pece_solve(vector_field(p45), (10.0, 5.0), 0.9, SolverConfig(step=0.05, horizon=150.0))
-    ds = export_series(traj)
-    write_csv(outdir / "interior_series_m090.csv", ds.columns, ds.rows)
+    _write_series(outdir / "interior_series_m090.csv", traj)
 
     start = np.array(interior_point(p05)) + 1.0
     for tag, m in (("stable", 0.95), ("unstable", 0.995)):
         traj = pece_solve(vector_field(p05), start, m, SolverConfig(step=0.05, horizon=300.0))
-        ds = export_series(traj)
-        write_csv(outdir / f"order_{tag}_series.csv", ds.columns, ds.rows)
+        _write_series(outdir / f"order_{tag}_series.csv", traj)
 
     region = stability_region_cm(p05, np.linspace(0.005, 0.12, 24))
     write_csv(outdir / "stability_region.csv", ("c", "m_star"), region.points)
@@ -624,10 +480,7 @@ def _reproduce(base_output: Optional[str]) -> int:
         ("predator_free_sweep", p86, 0.60, 0.85),
     ):
         sweep = sweep_step_size(pset, 0.95, lo, hi, 31, transient=3000, n_samples=120, kick=1e-3)
-        rows = []
-        for value, block in zip(sweep.parameter_values, sweep.samples):
-            rows.extend((float(value), float(st[0]), float(st[1])) for st in block)
-        write_csv(outdir / f"{name}.csv", ("param", "x", "y"), rows)
+        write_csv(outdir / f"{name}.csv", ("param", "x", "y"), _sweep_rows(sweep))
 
     write_csv(outdir / "summary.csv", ("name", "expected", "computed", "abs_diff"), summary)
     width = max(len(name) for name, *_ in summary)
@@ -643,28 +496,49 @@ def _reproduce(base_output: Optional[str]) -> int:
     return 0
 
 
+class _Mode(NamedTuple):
+    """A mode's runner and the option keys it reads, the required first."""
+    runner: Callable[[RunConfig], int]
+    required: tuple = ()
+    optional: tuple = ()
+
+    @property
+    def keys(self) -> tuple:
+        return self.required + self.optional
+
+
+MODES = {
+    "simulate": _Mode(_run_simulate, ("m", "step", "horizon"), ("x0", "corrector_sweeps")),
+    "equilibria": _Mode(_name_value("equilibria.csv", _rows_equilibria)),
+    "stability": _Mode(_name_value("stability.csv", _rows_stability), ("m",)),
+    "thresholds": _Mode(_name_value("thresholds.csv", _rows_thresholds), optional=("m",)),
+    "discrete": _Mode(_run_discrete, ("m", "s", "iterations"), ("transient", "x0")),
+    "normal-form": _Mode(_name_value("normal_form.csv", _rows_normal_form), ("m",)),
+    "sweep": _Mode(
+        _run_sweep,
+        ("m", "s_min", "s_max", "n_points"),
+        ("transient", "n_samples", "x0", "follow", "kick"),
+    ),
+    "region": _Mode(_run_region, ("c_min", "c_max", "c_points"), ("tolerance",)),
+    "reproduce": _Mode(_run_reproduce),
+}
+
+
+def run(cfg: RunConfig) -> int:
+    """Run the mode of a RunConfig; returns the process exit code."""
+    try:
+        return MODES[cfg.mode].runner(cfg)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
+        # a library validator (SolverConfig, DiscreteConfig, a size budget,
+        # the normal-form preconditions) rejected the input
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+
+
 # --- argument parsing -------------------------------------------------------
-
-
-def _add_common(sub: argparse.ArgumentParser, mode: str) -> None:
-    sub.add_argument("--config", help="path to a key = value config file")
-    for key in PARAM_KEYS:
-        sub.add_argument(f"--{key}", type=float)
-    sub.add_argument("--output", help="output CSV path (reproduce: base directory)")
-    sub.add_argument("--seed", type=int)
-    for key in MODE_OPTION_KEYS[mode]:
-        tag, _ = _OPTION_SPEC[key]
-        flag = f"--{key.replace('_', '-')}"
-        if tag == "bool":
-            sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
-        elif tag == "pair":
-            sub.add_argument(flag, dest=key, type=str, help="pair 'x,y'")
-        elif tag == "int":
-            sub.add_argument(flag, dest=key, type=int)
-        else:
-            sub.add_argument(flag, dest=key, type=float)
-    if mode in ("simulate", "discrete", "sweep", "region"):
-        sub.add_argument("--plot", action="store_true")
 
 
 def main(argv=None) -> int:
@@ -673,34 +547,28 @@ def main(argv=None) -> int:
         description="Fractional-order predator-prey dynamics with habitat complexity",
     )
     subparsers = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODE_OPTION_KEYS:
-        _add_common(subparsers.add_parser(mode, help=f"{mode} analysis"), mode)
+    for mode, spec in MODES.items():
+        sub = subparsers.add_parser(mode, help=f"{mode} analysis")
+        sub.add_argument("--config", help="path to a key = value config file")
+        sub.add_argument("--output", help="output CSV path (reproduce: base directory)")
+        for key in PARAM_KEYS + spec.keys:
+            is_bool = key in _OPTIONS and _OPTIONS[key][0] is _parse_bool
+            action = argparse.BooleanOptionalAction if is_bool else "store"
+            sub.add_argument(f"--{key.replace('_', '-')}", dest=key, action=action)
     args = parser.parse_args(argv)
 
     try:
-        if args.config:
-            try:
-                text = Path(args.config).read_text(encoding="utf-8")
-            except OSError as exc:
-                print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-                return 2
-            top, sections = _parse_raw(text)
-        else:
-            top, sections = {}, {}
+        try:
+            text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from None
+        top, sections = _parse_raw(text)
 
-        overrides = {"mode": args.mode}
-        for key in PARAM_KEYS + ("output", "seed"):
-            value = getattr(args, key, None)
-            if value is not None:
-                overrides[key] = value
-        for key in MODE_OPTION_KEYS[args.mode]:
-            value = getattr(args, key, None)
-            if value is None:
-                continue
-            overrides[key] = _convert(key, value) if _OPTION_SPEC[key][0] == "pair" else value
-        if getattr(args, "plot", False):
-            overrides["plot"] = True
-
+        overrides = {"mode": args.mode, "output": args.output}
+        for key in PARAM_KEYS + MODES[args.mode].keys:
+            value = getattr(args, key)
+            # --follow/--no-follow arrive as bools, every other flag as text
+            overrides[key] = value if value is None or isinstance(value, bool) else _convert(key, value)
         cfg = build_config(top, sections, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

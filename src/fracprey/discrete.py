@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelParams, _rates, equilibria, interior_point, thresholds
+from .model import ModelParams, _rates, equilibria, interior_point, jacobian, thresholds
 from .pece import MAX_GRID_VALUES
-from .special import gamma_fn
+from .special import _check_order, gamma_fn
 
 __all__ = [
     "BifurcationEvent",
@@ -57,8 +57,7 @@ def map_gain(s: float, m: float) -> float:
     """Per-step gain S = s^m / (m Gamma(m))."""
     if not s > 0:
         raise ValueError(f"step size must be > 0, got {s!r}")
-    if not 0.0 < m <= 1.0:
-        raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {m!r}")
+    _check_order(m)
     return s**m / gamma_fn(m + 1.0)
 
 
@@ -66,8 +65,7 @@ def inverse_map_gain(gain: float, m: float) -> float:
     """Step size s with map_gain(s, m) == gain."""
     if not gain > 0:
         raise ValueError(f"map gain must be > 0, got {gain!r}")
-    if not 0.0 < m <= 1.0:
-        raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {m!r}")
+    _check_order(m)
     return (gain * gamma_fn(m + 1.0)) ** (1.0 / m)
 
 
@@ -81,8 +79,7 @@ class DiscreteConfig:
     def __post_init__(self):
         if not self.s > 0:
             raise ValueError(f"step size must be > 0, got {self.s!r}")
-        if not 0.0 < self.m <= 1.0:
-            raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {self.m!r}")
+        _check_order(self.m)
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
         if not 0 <= self.transient < self.iterations:
@@ -235,8 +232,7 @@ def _gain_constants(p: ModelParams):
 
 def step_thresholds(p: ModelParams, m: float) -> StepThresholds:
     """Evaluate the critical step sizes s1..s5 and the constants G, H."""
-    if not 0.0 < m <= 1.0:
-        raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {m!r}")
+    _check_order(m)
     reasons = {}
     s1 = inverse_map_gain(2.0 / p.d, m)
     s2 = inverse_map_gain(2.0 / p.r, m)
@@ -282,6 +278,19 @@ def _classify_moduli(eigs) -> tuple:
     return cls, spiral
 
 
+def _report(kind: str, point, eigs, tr: float, det: float) -> FixedPointReport:
+    """Report of one fixed point; the one place its Jury triple is written."""
+    cls, spiral = _classify_moduli(eigs)
+    return FixedPointReport(
+        kind=kind,
+        point=point,
+        eigenvalues=eigs,
+        classification=cls,
+        spiral=spiral,
+        jury=(1.0 - det, 1.0 - tr + det, 1.0 + tr + det),
+    )
+
+
 def classify_fixed_points(p: ModelParams, s: float, m: float) -> list:
     """Classify every fixed point of the map at step size s and order m.
 
@@ -292,37 +301,12 @@ def classify_fixed_points(p: ModelParams, s: float, m: float) -> list:
     """
     S = map_gain(s, m)
     reports = []
-
-    eigs0 = (complex(1.0 + p.r * S), complex(1.0 - p.d * S))
-    cls, spiral = _classify_moduli(eigs0)
-    tr = eigs0[0].real + eigs0[1].real
-    det = (eigs0[0] * eigs0[1]).real
-    reports.append(
-        FixedPointReport(
-            kind="trivial",
-            point=(0.0, 0.0),
-            eigenvalues=eigs0,
-            classification=cls,
-            spiral=spiral,
-            jury=(1.0 - det, 1.0 - tr + det, 1.0 + tr + det),
-        )
-    )
-
-    growth = p.theta * p.attack * p.K / (1.0 + p.attack * p.h * p.K) - p.d
-    eigs1 = (complex(1.0 - p.r * S), complex(1.0 + S * growth))
-    cls, spiral = _classify_moduli(eigs1)
-    tr = eigs1[0].real + eigs1[1].real
-    det = (eigs1[0] * eigs1[1]).real
-    reports.append(
-        FixedPointReport(
-            kind="predator_free",
-            point=(p.K, 0.0),
-            eigenvalues=eigs1,
-            classification=cls,
-            spiral=spiral,
-            jury=(1.0 - det, 1.0 - tr + det, 1.0 + tr + det),
-        )
-    )
+    growth = jacobian(p, (p.K, 0.0)).a22
+    for kind, point, xi1, xi2 in (
+        ("trivial", (0.0, 0.0), 1.0 + p.r * S, 1.0 - p.d * S),
+        ("predator_free", (p.K, 0.0), 1.0 - p.r * S, 1.0 + S * growth),
+    ):
+        reports.append(_report(kind, point, (complex(xi1), complex(xi2)), xi1 + xi2, xi1 * xi2))
 
     constants = _gain_constants(p)
     if constants is not None:
@@ -331,17 +315,7 @@ def classify_fixed_points(p: ModelParams, s: float, m: float) -> list:
         det = 1.0 - S * G + S * S * H
         root = cmath.sqrt(complex(tr * tr - 4.0 * det))
         eigs = ((tr + root) / 2.0, (tr - root) / 2.0)
-        cls, spiral = _classify_moduli(eigs)
-        reports.append(
-            FixedPointReport(
-                kind="interior",
-                point=interior_point(p),
-                eigenvalues=eigs,
-                classification=cls,
-                spiral=spiral,
-                jury=(1.0 - det, 1.0 - tr + det, 1.0 + tr + det),
-            )
-        )
+        reports.append(_report("interior", interior_point(p), eigs, tr, det))
     return reports
 
 
@@ -355,6 +329,7 @@ def hopf_normal_form(p: ModelParams, m: float) -> NormalFormData:
     the discriminant gamma; all third-order partial derivatives vanish, so
     xi21 = 0.
     """
+    _check_order(m)
     constants = _gain_constants(p)
     if constants is None:
         raise NormalFormPreconditionError("interior fixed point does not exist")
@@ -437,16 +412,6 @@ def hopf_normal_form(p: ModelParams, m: float) -> NormalFormData:
     )
 
 
-def _jury_at_predator_free(p: ModelParams, s: float, m: float):
-    S = map_gain(s, m)
-    growth = p.theta * p.attack * p.K / (1.0 + p.attack * p.h * p.K) - p.d
-    xi1 = 1.0 - p.r * S
-    xi2 = 1.0 + S * growth
-    tr = xi1 + xi2
-    det = xi1 * xi2
-    return 1.0 - tr + det, 1.0 + tr + det
-
-
 def detect_structural_bifurcations(p: ModelParams, m: float) -> list:
     """Locate the structural bifurcations of the map for this parameter set.
 
@@ -457,8 +422,7 @@ def detect_structural_bifurcations(p: ModelParams, m: float) -> list:
     Every event is reported with the residual of its defining expression,
     which must vanish to 1e-8.
     """
-    if not 0.0 < m <= 1.0:
-        raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {m!r}")
+    _check_order(m)
     events = []
     th = thresholds(p)
 
@@ -467,8 +431,8 @@ def detect_structural_bifurcations(p: ModelParams, m: float) -> list:
         # at c = c1 the interior constants collapse to G = r, so the flip
         # step coincides with the prey threshold s2
         s_flip = inverse_map_gain(2.0 / p.r, m)
-        res_tc, _ = _jury_at_predator_free(at_c1, 0.5 * s_flip, m)
-        _, res_flip = _jury_at_predator_free(at_c1, s_flip, m)
+        res_tc = classify_fixed_points(at_c1, 0.5 * s_flip, m)[1].jury[1]
+        res_flip = classify_fixed_points(at_c1, s_flip, m)[1].jury[2]
         for kind, s_loc, res in (
             ("transcritical", None, abs(res_tc)),
             ("flip", s_flip, abs(res_flip)),

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .special import gamma_fn
+from .special import _check_order, gamma_fn
 
 __all__ = [
     "MAX_GRID_VALUES",
@@ -193,8 +193,7 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     ValueError, before allocating the grid, when its steps times state size
     exceed MAX_GRID_VALUES.
     """
-    if not 0.0 < m <= 1.0:
-        raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {m!r}")
+    _check_order(m)
     h = cfg.step
     u0 = np.atleast_1d(np.asarray(x0, dtype=float))
     steps = cfg.horizon / h + 1e-9

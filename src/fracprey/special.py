@@ -63,6 +63,7 @@ def gamma_fn(x: float) -> float:
 
 
 def _check_order(m: float) -> None:
+    """The package's one check of a fractional order m."""
     if not 0.0 < m <= 1.0:
         raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {m!r}")
 

@@ -22,7 +22,7 @@ from .model import (
     jacobian,
     thresholds,
 )
-from .special import mittag_leffler
+from .special import _check_order, mittag_leffler
 
 __all__ = [
     "CriticalOrder",
@@ -84,17 +84,12 @@ class GlobalStabilityFlags:
 
 
 def matignon_stable(eigs, m: float) -> bool:
-    """True iff every eigenvalue satisfies |arg| > m*pi/2 (strict)."""
-    if not 0.0 < m <= 1.0:
-        raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {m!r}")
-    half = m * math.pi / 2.0
-    for lam in eigs:
-        lam = complex(lam)
-        if lam == 0:
-            raise NonhyperbolicError("zero eigenvalue: neither stable nor unstable")
-        if not abs(cmath.phase(lam)) > half:
-            return False
-    return True
+    """True iff the argument test classifies the eigenvalues as stable: every
+    |arg| above m*pi/2 by more than the boundary band."""
+    _check_order(m)
+    if any(complex(lam) == 0 for lam in eigs):
+        raise NonhyperbolicError("zero eigenvalue: neither stable nor unstable")
+    return _classify_eigs(eigs, m) == "stable"
 
 
 def routh_hurwitz_fractional(a1: float, a2: float, m: float) -> bool:
@@ -104,10 +99,10 @@ def routh_hurwitz_fractional(a1: float, a2: float, m: float) -> bool:
     Complex case: the root pair has |arg| = atan2(sqrt(4 a2 - a1^2), -a1),
     compared strictly against m*pi/2 (the two-argument form resolves the
     sign ambiguity a printed single-argument arctangent would have for
-    a1 < 0).
+    a1 < 0).  It stays a route of its own, apart from the argument test, so
+    that each can check the other.
     """
-    if not 0.0 < m <= 1.0:
-        raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {m!r}")
+    _check_order(m)
     if a2 == 0.0:
         raise NonhyperbolicError("a2 = 0 gives a zero root: test inconclusive")
     disc = a1 * a1 - 4.0 * a2
@@ -162,8 +157,7 @@ def classify_equilibria(p: ModelParams, m: float) -> list:
     c1); the interior state is classified through the argument test, with
     its order-validity interval and critical order attached.
     """
-    if not 0.0 < m <= 1.0:
-        raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {m!r}")
+    _check_order(m)
     reports = []
     e0, e1, interior = equilibria(p)
 
@@ -176,7 +170,7 @@ def classify_equilibria(p: ModelParams, m: float) -> list:
         )
     )
 
-    growth = p.theta * p.attack * p.K / (1.0 + p.attack * p.h * p.K) - p.d
+    growth = jacobian(p, e1.point).a22
     reports.append(
         StabilityReport(
             equilibrium=e1,

@@ -41,6 +41,14 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_step_size(mid_complexity, 0.95, 0.1, 0.2, 1)
 
+    def test_size_budget_rejected_before_allocation(self, mid_complexity):
+        # 1e13 grid points would ask linspace alone for 80 TB
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            sweep_step_size(mid_complexity, 0.95, 0.1, 0.2, 10**13)
+        # 10**5 points x 51 samples x 2 components is just over 1e7 values
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            sweep_step_size(mid_complexity, 0.95, 0.1, 0.2, 10**5, n_samples=51)
+
     def test_interior_onset_bracketed(self, mid_complexity):
         # collapse below the circle-shedding step, spread above, with the
         # analytic event inside the bracketing grid cell
@@ -143,6 +151,15 @@ class TestStabilityRegion:
         assert result.points == []
         assert len(result.skipped) == 5
         assert all("c2" in reason or "outside" in reason for _, reason in result.skipped)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+    def test_tolerance_must_be_positive(self, low_complexity, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
+            stability_region_cm(low_complexity, [0.05], tolerance=tolerance)
+
+    def test_empty_grid_rejected(self, low_complexity):
+        with pytest.raises(ValueError, match="at least one value"):
+            stability_region_cm(low_complexity, np.linspace(0.02, 0.1, 0))
 
     def test_boundary_monotone_and_limits(self, low_complexity):
         c2 = thresholds(low_complexity).c2

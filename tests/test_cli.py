@@ -1,9 +1,14 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracprey
 import fracprey.cli
@@ -378,3 +383,113 @@ class TestReproduce:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [outdir]
         assert {f.name: f.read_bytes() for f in outdir.iterdir()} == first
+
+
+PARAM_FLAGS = ["--r", "2.65", "--K", "898", "--alpha", "0.045", "--h", "0.0437",
+               "--theta", "0.215", "--d", "1.06"]
+SIMULATE = ["simulate", "--c", "0.45", "--m", "0.9", "--step", "0.05", "--horizon", "1"]
+DISCRETE = ["discrete", "--c", "0.45", "--m", "0.9", "--s", "0.1", "--iterations", "10"]
+SWEEP = ["sweep", "--c", "0.45", "--m", "0.9", "--s-min", "0.1", "--s-max", "0.2", "--n-points", "3"]
+REGION = ["region", "--c", "0.45", "--c-min", "0.02", "--c-max", "0.1", "--c-points", "5"]
+
+# name -> (command line less the parameters, text the one stderr line must hold);
+# a flag repeated at the end overrides the valid value before it
+REJECTED = {
+    "m_zero": (SIMULATE + ["--m", "0"], "0 < m <= 1"),
+    "m_above_one": (SIMULATE + ["--m", "1.5"], "0 < m <= 1"),
+    "step_zero": (SIMULATE + ["--step", "0"], "step"),
+    "step_negative": (SIMULATE + ["--step", "-1"], "step"),
+    "horizon_below_step": (SIMULATE + ["--horizon", "0.01"], "horizon"),
+    "corrector_sweeps_zero": (SIMULATE + ["--corrector-sweeps", "0"], "corrector_sweeps"),
+    "s_zero": (DISCRETE + ["--s", "0"], "step size"),
+    "iterations_zero": (DISCRETE + ["--iterations", "0"], "iterations"),
+    "discrete_transient_negative": (DISCRETE + ["--transient", "-1"], "transient"),
+    "sweep_transient_negative": (SWEEP + ["--transient", "-1"], "transient"),
+    "n_samples_zero": (SWEEP + ["--n-samples", "0"], "n_samples"),
+    "s_min_zero": (SWEEP + ["--s-min", "0"], "s_min"),
+    "s_max_below_s_min": (SWEEP + ["--s-max", "0.05"], "s_max"),
+    "n_points_one": (SWEEP + ["--n-points", "1"], "n_points"),
+    "c_points_zero": (REGION + ["--c-points", "0"], "c_grid"),
+    "tolerance_zero": (REGION + ["--tolerance", "0"], "tolerance"),
+    "tolerance_negative": (REGION + ["--tolerance", "-1"], "tolerance"),
+    "normal_form_m_without_interior": (["normal-form", "--c", "0.86", "--m", "1.5"], "0 < m <= 1"),
+    "x0_infinite": (SIMULATE + ["--x0", "inf,5"], "x0"),
+    "x0_nan": (DISCRETE + ["--x0", "nan,5"], "x0"),
+    "sweep_grid_budget": (SWEEP + ["--n-points", "10000000000000"], "budget"),
+    "region_grid_budget": (REGION + ["--c-points", "10000000000000"], "budget"),
+}
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_exit_2_with_one_line(self, tmp_path, capsys, name):
+        argv, named = REJECTED[name]
+        out = tmp_path / "out.csv"
+        assert main(argv[:1] + PARAM_FLAGS + argv[1:] + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert named in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["2e12, 1", "1, -1e13", "inf 5"])
+    def test_config_file_start_checked(self, text):
+        doc = BASE_CONFIG.replace("mode = thresholds", "mode = discrete") + (
+            f"[discrete]\nm = 0.95\ns = 0.1\niterations = 10\nx0 = {text}\n"
+        )
+        with pytest.raises(ConfigError, match="line 17: invalid value for 'x0'"):
+            parse_config(doc)
+
+
+# small valid values of each option, mixed with strings that are never valid
+# or sit on an edge
+BAD_VALUES = ("nan", "inf", "-1", "0", "1e400", "abc", "1,2,3")
+VALID = {
+    "m": st.floats(0.05, 1.0),
+    "step": st.floats(0.01, 0.5),
+    "horizon": st.floats(0.01, 2.0),
+    "x0": st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)).map(lambda xy: f"{xy[0]},{xy[1]}"),
+    "corrector_sweeps": st.integers(1, 3),
+    "s": st.floats(0.01, 3.0),
+    "iterations": st.integers(1, 500),
+    "transient": st.integers(0, 500),
+    "n_samples": st.integers(1, 10),
+    "s_min": st.floats(0.01, 1.0),
+    "s_max": st.floats(0.01, 3.0),
+    "n_points": st.integers(2, 10),
+    "kick": st.floats(-0.01, 0.01),
+    "c_min": st.floats(0.0, 0.99),
+    "c_max": st.floats(0.0, 0.99),
+    "c_points": st.integers(1, 10),
+    "tolerance": st.floats(1e-12, 1e-3),
+}
+
+
+@st.composite
+def cli_runs(draw):
+    mode = draw(st.sampled_from(sorted(set(fracprey.cli.MODES) - {"reproduce"})))
+    argv = [mode, "--c", str(draw(st.sampled_from([0.86, 0.45, 0.05])))]
+    spec = fracprey.cli.MODES[mode]
+    for key in spec.keys:
+        if key == "follow":
+            argv += draw(st.sampled_from([[], ["--follow"], ["--no-follow"]]))
+        elif key in spec.required or draw(st.booleans()):
+            # one value in four is a bad string, so most runs get past the parser
+            bad = draw(st.integers(0, 3)) == 0
+            value = draw(st.sampled_from(BAD_VALUES) if bad else VALID[key].map(str))
+            argv += [f"--{key.replace('_', '-')}", value]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(argv=cli_runs())
+    def test_documented_exit_and_no_traceback(self, argv):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv[:1] + PARAM_FLAGS + argv[1:] + ["--output", str(Path(tmp) / "out.csv")])
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -392,6 +392,13 @@ class TestNormalForm:
         with pytest.raises(NormalFormPreconditionError, match="G > 0"):
             hopf_normal_form(low_complexity, 0.95)
 
+    @pytest.mark.parametrize("m", [0.0, 1.5, float("nan")])
+    def test_order_checked_before_preconditions(self, high_complexity, m):
+        # at c = 0.86 there is no interior point either; the order is named first
+        with pytest.raises(ValueError, match="0 < m <= 1") as info:
+            hopf_normal_form(high_complexity, m)
+        assert not isinstance(info.value, NormalFormPreconditionError)
+
     def test_orbit_confirms_attracting_circle(self, mid_complexity):
         # sign cross-check for gamma < 0: just past s4 the orbit must settle
         # onto a bounded invariant curve whose radius is stationary, instead
