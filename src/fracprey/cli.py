@@ -198,8 +198,12 @@ def build_config(top, sections, overrides) -> RunConfig:
         raise ConfigError("missing required key 'mode'")
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}'")
+    spec = MODES[mode]
+    for key in PARAM_KEYS:
+        if key in top and key not in spec.params:
+            raise ConfigError(f"line {top[key][1]}: key '{key}' is not valid for mode {mode}")
 
-    values = {key: _convert(key, *top[key]) for key in PARAM_KEYS if key in top}
+    values = {key: _convert(key, *top[key]) for key in spec.params if key in top}
     for key, (text, lineno) in sections.get(mode, {}).items():
         values[key] = _convert(key, text, lineno)
     if "output" in top:
@@ -208,13 +212,11 @@ def build_config(top, sections, overrides) -> RunConfig:
         if key != "mode" and val is not None:
             values[key] = val
 
-    if mode == "reproduce":
-        values = {**_REFERENCE_PARAMS, **values}
-    for key in PARAM_KEYS + MODES[mode].required:
+    for key in spec.params + spec.required:
         if key not in values:
             raise ConfigError(f"missing required key '{key}' for mode {mode}")
     try:
-        params = ModelParams(**{k: values.pop(k) for k in PARAM_KEYS})
+        params = ModelParams(**{k: values.pop(k) for k in spec.params}) if spec.params else None
         if "m" in values:
             _check_order(values["m"])
     except ValueError as exc:
@@ -354,6 +356,9 @@ def _run_region(cfg: RunConfig) -> int:
             f"region grid of {cfg.c_points} points exceeds the budget of "
             f"{MAX_GRID_VALUES} values; lower c_points"
         )
+    for key in ("c_min", "c_max"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ValueError(f"region grid end {key} must be finite, got {getattr(cfg, key)!r}")
     grid = np.linspace(cfg.c_min, cfg.c_max, cfg.c_points)
     result = stability_region_cm(cfg.params, grid, tolerance=cfg.tolerance)
     for c, reason in result.skipped:
@@ -497,10 +502,12 @@ def _run_reproduce(cfg: RunConfig) -> int:
 
 
 class _Mode(NamedTuple):
-    """A mode's runner and the option keys it reads, the required first."""
+    """A mode's runner, the option keys it reads, the required first, and
+    the model parameters it reads (reproduce runs on its own reference set)."""
     runner: Callable[[RunConfig], int]
     required: tuple = ()
     optional: tuple = ()
+    params: tuple = PARAM_KEYS
 
     @property
     def keys(self) -> tuple:
@@ -520,7 +527,7 @@ MODES = {
         ("transient", "n_samples", "x0", "follow", "kick"),
     ),
     "region": _Mode(_run_region, ("c_min", "c_max", "c_points"), ("tolerance",)),
-    "reproduce": _Mode(_run_reproduce),
+    "reproduce": _Mode(_run_reproduce, params=()),
 }
 
 
@@ -548,10 +555,10 @@ def main(argv=None) -> int:
     )
     subparsers = parser.add_subparsers(dest="mode", required=True)
     for mode, spec in MODES.items():
-        sub = subparsers.add_parser(mode, help=f"{mode} analysis")
+        sub = subparsers.add_parser(mode, help=f"{mode} analysis", allow_abbrev=False)
         sub.add_argument("--config", help="path to a key = value config file")
         sub.add_argument("--output", help="output CSV path (reproduce: base directory)")
-        for key in PARAM_KEYS + spec.keys:
+        for key in spec.params + spec.keys:
             is_bool = key in _OPTIONS and _OPTIONS[key][0] is _parse_bool
             action = argparse.BooleanOptionalAction if is_bool else "store"
             sub.add_argument(f"--{key.replace('_', '-')}", dest=key, action=action)
@@ -565,7 +572,8 @@ def main(argv=None) -> int:
         top, sections = _parse_raw(text)
 
         overrides = {"mode": args.mode, "output": args.output}
-        for key in PARAM_KEYS + MODES[args.mode].keys:
+        spec = MODES[args.mode]
+        for key in spec.params + spec.keys:
             value = getattr(args, key)
             # --follow/--no-follow arrive as bools, every other flag as text
             overrides[key] = value if value is None or isinstance(value, bool) else _convert(key, value)

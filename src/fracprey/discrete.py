@@ -13,11 +13,11 @@ the bifurcating invariant circle attracts.
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ModelParams, _rates, equilibria, interior_point, jacobian, thresholds
+from .model import ModelParams, _field, equilibria, interior_point, jacobian, thresholds
 from .pece import MAX_GRID_VALUES
 from .special import _check_order, gamma_fn
 
@@ -175,15 +175,16 @@ class BifurcationEvent:
     residual: float
 
 
-def _map_step(p: ModelParams, gain: float, x: float, y: float) -> tuple:
-    """The map on plain floats; every map iteration goes through here."""
-    dx, dy = _rates(p, x, y)
+def _map_step(rates: Callable, gain: float, x: float, y: float) -> tuple:
+    """The map on plain floats over the field closure rates of model._field;
+    every map iteration goes through here."""
+    dx, dy = rates(x, y)
     return x + gain * dx, y + gain * dy
 
 
 def step_map(p: ModelParams, s: float, m: float, state) -> np.ndarray:
     """One application of the map: state + S * rate(state), no clamping."""
-    x, y = _map_step(p, map_gain(s, m), float(state[0]), float(state[1]))
+    x, y = _map_step(_field(p), map_gain(s, m), float(state[0]), float(state[1]))
     if not (math.isfinite(x) and math.isfinite(y)):
         raise OrbitEscapeError(f"map produced a non-finite state from {state!r}")
     return np.array([x, y])
@@ -203,12 +204,13 @@ def iterate_orbit(p: ModelParams, cfg: DiscreteConfig, x0) -> DiscreteOrbit:
             f"budget of {MAX_GRID_VALUES} values; lower iterations"
         )
     gain = map_gain(cfg.s, cfg.m)
+    rates = _field(p)
     states = np.empty((cfg.iterations + 1, 2))
     states[0] = np.asarray(x0, dtype=float)
     flat = memoryview(states.reshape(-1))
     x, y = float(states[0, 0]), float(states[0, 1])
     for n in range(1, cfg.iterations + 1):
-        x, y = _map_step(p, gain, x, y)
+        x, y = _map_step(rates, gain, x, y)
         if not (abs(x) <= ESCAPE_BOUND and abs(y) <= ESCAPE_BOUND):
             return DiscreteOrbit(states=states[:n].copy(), config=cfg, escaped=True)
         flat[2 * n] = x

@@ -118,22 +118,41 @@ class Jacobian2:
         return ((self.trace + root) / 2.0, (self.trace - root) / 2.0)
 
 
-def _rates(p: ModelParams, x: float, y: float) -> tuple:
-    """The field on plain floats: the one place its formula is written."""
-    a = p.attack
-    denom = 1.0 + a * p.h * x
-    capture = a * x * y / denom
-    return p.r * x * (1.0 - x / p.K) - capture, p.theta * capture - p.d * y
+def _field(p: ModelParams) -> Callable:
+    """The field on plain floats, rates(x, y) -> (dx, dy), with the
+    parameters bound once: the one place its formula is written."""
+    r, K, a, h, theta, d = p.r, p.K, p.attack, p.h, p.theta, p.d
+    ah = a * h
+
+    def rates(x: float, y: float) -> tuple:
+        capture = a * x * y / (1.0 + ah * x)
+        return r * x * (1.0 - x / K) - capture, theta * capture - d * y
+
+    return rates
+
+
+class _VectorField:
+    """The field as pece_solve expects it: called on a state array it returns
+    the rate array; its rates attribute is the float closure of _field."""
+
+    __slots__ = ("rates",)
+
+    def __init__(self, p: ModelParams):
+        self.rates = _field(p)
+
+    def __call__(self, state) -> np.ndarray:
+        return np.array(self.rates(float(state[0]), float(state[1])))
 
 
 def rhs(p: ModelParams, state) -> np.ndarray:
     """Rate vector (dx, dy) at a nonnegative state."""
-    return np.array(_rates(p, float(state[0]), float(state[1])))
+    return _VectorField(p)(state)
 
 
 def vector_field(p: ModelParams) -> Callable:
-    """The field as a single-argument callable, as pece_solve expects."""
-    return lambda state: rhs(p, state)
+    """The field as a single-argument callable on state arrays, as pece_solve
+    expects; pece_solve calls its float closure (the rates attribute) directly."""
+    return _VectorField(p)
 
 
 def jacobian(p: ModelParams, state) -> Jacobian2:

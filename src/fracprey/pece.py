@@ -16,7 +16,10 @@ all components, one of both kernels and one inverse per kernel.
 
 The step arithmetic runs on Python floats, since numpy calls on a short
 state vector cost more than the arithmetic they do.  Per step numpy does
-only the in-block dot product, the rhs calls and the row stores.  Per
+only the in-block dot product and the row stores.  The field entry is
+chosen once per solve: the model's vector_field is called through its float
+closure, which returns a tuple of rates, and any other rhs keeps the ndarray
+contract through an adapter that hands it a fresh array.  Per
 component the predictor is u0 + c_pred (out + in) and the corrector
 u0 + c_corr (f + (out + in)), out and in being the history sums from outside
 and inside the node's block: the operation order of the vector form, which
@@ -29,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .model import _VectorField
 from .special import _check_order, gamma_fn
 
 __all__ = [
@@ -186,12 +190,13 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
 
     rhs maps a state vector, passed as a fresh float64 array, to its rate
     vector, or to anything that broadcasts to the state's shape (autonomous
-    field).  The
-    predictor convolves the history with rectangle-rule weights, the
-    corrector with trapezoid-rule weights, repeated cfg.corrector_sweeps
-    times; the final evaluation seeds the next step's history.  Raises
-    ValueError, before allocating the grid, when its steps times state size
-    exceed MAX_GRID_VALUES.
+    field).  The field of model.vector_field is instead called on the state's
+    floats through its rates closure; the entry is chosen once, before the
+    step loop, and both give the same bits.  The predictor convolves the
+    history with rectangle-rule weights, the corrector with trapezoid-rule
+    weights, repeated cfg.corrector_sweeps times; the final evaluation seeds
+    the next step's history.  Raises ValueError, before allocating the grid,
+    when its steps times state size exceed MAX_GRID_VALUES.
     """
     _check_order(m)
     h = cfg.step
@@ -226,6 +231,12 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     rev = np.ascontiguousarray(kernels[:, block - 1 :: -1])
     tails = [rev[:, block - w :] for w in range(block)]
     anchor = u0.tolist()
+    # the step calls the field on the float components of a state: the
+    # model's field by its float closure, any other callable on a fresh array
+    if isinstance(rhs, _VectorField):
+        field = rhs.rates
+    else:
+        field = lambda *v: rhs(np.array(v))
 
     for start in range(1, n_steps + 1, _BLOCK):
         stop = min(start + _BLOCK, n_steps + 1)
@@ -235,7 +246,7 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
             corr_sums = [o + n for o, n in zip(out_corr, in_corr)]
             for _ in range(sweeps):
                 # the row store casts and broadcasts the rate as rates[0] does
-                rates[i] = rhs(np.array(value))
+                rates[i] = field(*value)
                 rate = rates[i].tolist()
                 value = [u + c_corr * (f + s) for u, f, s in zip(anchor, rate, corr_sums)]
 
@@ -244,7 +255,7 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
                 if not abs(v) <= bound:
                     raise SolverDivergenceError(i * h, value, bound)
             states[i] = value
-            rates[i] = rhs(np.array(value))
+            rates[i] = field(*value)
 
         if stop <= n_steps:
             # The blocks so far end a left half of the dyadic node tree whose

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -384,6 +385,28 @@ class TestReproduce:
         assert list(tmp_path.iterdir()) == [outdir]
         assert {f.name: f.read_bytes() for f in outdir.iterdir()} == first
 
+    @pytest.mark.parametrize("key", fracprey.cli.PARAM_KEYS)
+    def test_parameter_flag_rejected(self, tmp_path, capsys, key):
+        # reproduce runs on its reference parameters: a flag it would ignore
+        # is a usage error, not a silently unused value
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", f"--{key}", "0.3", "--output", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: --{key} 0.3" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_file_parameter_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("mode = reproduce\nc = 0.3\n", encoding="utf-8")
+        assert main(["reproduce", "--config", str(config), "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 2: key 'c' is not valid for mode reproduce\n"
+        )
+        assert list(tmp_path.iterdir()) == [config]
+        with pytest.raises(ConfigError, match="line 2: key 'c' is not valid for mode reproduce"):
+            parse_config("mode = reproduce\nc = 0.3\n")
+
 
 PARAM_FLAGS = ["--r", "2.65", "--K", "898", "--alpha", "0.045", "--h", "0.0437",
                "--theta", "0.215", "--d", "1.06"]
@@ -417,6 +440,10 @@ REJECTED = {
     "x0_nan": (DISCRETE + ["--x0", "nan,5"], "x0"),
     "sweep_grid_budget": (SWEEP + ["--n-points", "10000000000000"], "budget"),
     "region_grid_budget": (REGION + ["--c-points", "10000000000000"], "budget"),
+    "c_min_nan": (REGION + ["--c-min", "nan"], "c_min"),
+    "c_min_inf": (REGION + ["--c-min", "inf"], "c_min"),
+    "c_max_nan": (REGION + ["--c-max", "nan"], "c_max"),
+    "c_max_inf": (REGION + ["--c-max", "inf"], "c_max"),
 }
 
 
@@ -430,6 +457,14 @@ class TestRejectedInputs:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert named in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["c_min_nan", "c_min_inf", "c_max_nan", "c_max_inf"])
+    def test_non_finite_grid_end_rejected_before_linspace(self, tmp_path, name):
+        # np.linspace over a non-finite end warns; the check runs first
+        argv, _ = REJECTED[name]
+        with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            assert main(argv[:1] + PARAM_FLAGS + argv[1:] + ["--output", str(tmp_path / "out.csv")]) == 2
 
     @pytest.mark.parametrize("text", ["2e12, 1", "1, -1e13", "inf 5"])
     def test_config_file_start_checked(self, text):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracprey import (
     ModelParams,
@@ -8,8 +10,31 @@ from fracprey import (
     jacobian,
     rhs,
     thresholds,
+    vector_field,
 )
 from conftest import BASE
+
+
+def reference_rates(p, x, y):
+    """The field as it was written before its parameters were bound once:
+    the operation order the trajectories' golden hashes were computed with."""
+    a = p.attack
+    denom = 1.0 + a * p.h * x
+    capture = a * x * y / denom
+    return p.r * x * (1.0 - x / p.K) - capture, p.theta * capture - p.d * y
+
+
+# admissible parameter sets over a few decades of each rate
+admissible_params = st.builds(
+    ModelParams,
+    r=st.floats(0.05, 5.0),
+    K=st.floats(1.0, 1e4),
+    alpha=st.floats(1e-3, 1.0),
+    h=st.floats(1e-3, 1.0),
+    theta=st.floats(0.01, 0.99),
+    c=st.floats(0.0, 0.99),
+    d=st.floats(0.01, 5.0),
+)
 
 
 def finite_difference_jacobian(p, state):
@@ -52,6 +77,30 @@ class TestField:
 
     def test_reference_interior_point_is_near_root(self, mid_complexity):
         assert np.all(np.abs(rhs(mid_complexity, (253.9056, 97.8867))) < 1e-3)
+
+    @pytest.mark.parametrize("regime", ["high_complexity", "mid_complexity", "low_complexity"])
+    def test_float_closure_matches_rhs_bit_for_bit(self, request, regime):
+        p = request.getfixturevalue(regime)
+        field = vector_field(p)
+        rng = np.random.RandomState(7)
+        for x, y in [(0.0, 0.0), (p.K, 0.0), (10.0, 5.0)] + list(rng.uniform(-10.0, 1000.0, (200, 2))):
+            x, y = float(x), float(y)
+            rates = field.rates(x, y)
+            assert type(rates) is tuple and all(type(v) is float for v in rates)
+            assert rates == reference_rates(p, x, y)
+            assert np.array_equal(rhs(p, (x, y)), rates)
+            assert np.array_equal(field(np.array([x, y])), rates)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(p=admissible_params)
+    def test_vanishes_at_every_existing_equilibrium(self, p):
+        field = vector_field(p)
+        for eq in equilibria(p):
+            if eq.exists:
+                x, y = eq.point
+                # every term of the field is at most r x or d y at a root
+                scale = (1.0 + abs(x) + abs(y)) * (1.0 + p.r + p.d)
+                assert max(abs(v) for v in field.rates(x, y)) <= 1e-9 * scale
 
 
 class TestJacobian:

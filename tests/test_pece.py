@@ -166,7 +166,50 @@ class TestGoldenTrajectories:
         assert hashlib.sha256(states.tobytes()).hexdigest() == GOLDEN_STATES[regime, sweeps, m]
 
 
+class TestFieldEntry:
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    @pytest.mark.parametrize(
+        "regime,m", [("high_complexity", 0.9), ("mid_complexity", 0.9), ("low_complexity", 0.95)]
+    )
+    def test_float_entry_matches_array_contract(self, request, regime, m, sweeps):
+        # the model's field is called through its float closure; wrapped in a
+        # plain lambda it goes through the array adapter: same bits either way
+        field = vector_field(request.getfixturevalue(regime))
+        cfg = SolverConfig(step=0.05, horizon=0.05 * 2000, corrector_sweeps=sweeps)
+        fast = pece_solve(field, [10.0, 5.0], m, cfg).states
+        plain = pece_solve(lambda u: field(u), [10.0, 5.0], m, cfg).states
+        assert np.array_equal(fast, plain)
+
+
+def mittag_leffler_series(m, z, digits=40):
+    """E_m(z) by its power series at `digits` digits: an oracle independent
+    of the package's contour rule, fine for the |z| < 3 used here."""
+    with mpmath.workdps(digits):
+        z = mpmath.mpf(z)
+        total, k, term = mpmath.mpf(0), 0, mpmath.mpf(1)
+        while k < 20 or abs(term) > mpmath.mpf(10) ** -digits:
+            term = z**k / mpmath.gamma(m * k + 1)
+            total += term
+            k += 1
+        return float(total)
+
+
 class TestLinearProblem:
+    @pytest.mark.parametrize("m", [0.5, 0.7, 0.9, 1.0])
+    def test_order_at_fixed_time(self, m):
+        # The error at a fixed t > 0 converges at order 1 + m (Diethelm, Ford
+        # & Freed 2004).  The max norm would not show it: u ~ 1 - c t^m is not
+        # smooth at 0, so the largest error sits at t = h and hardly shrinks.
+        lam, horizon = 1.3, 2.0
+        exact = mittag_leffler_series(m, -lam * horizon**m)
+        errs = []
+        for h in (0.02, 0.01, 0.005, 0.0025):
+            traj = pece_solve(lambda u: -lam * u, [1.0], m, SolverConfig(step=h, horizon=horizon))
+            assert traj.times[-1] == pytest.approx(horizon)
+            errs.append(abs(traj.states[-1, 0] - exact))
+        observed = math.log2(errs[-2] / errs[-1])
+        assert abs(observed - (1.0 + m)) <= 0.1, (errs, observed)
+
     def test_against_mittag_leffler(self):
         cfg = SolverConfig(step=0.01, horizon=1.0)
         traj = pece_solve(linear_decay, [1.0], 0.8, cfg)
