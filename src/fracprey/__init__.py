@@ -3,11 +3,10 @@
 Simulation (Caputo-sense PECE integration), equilibrium and stability
 analysis over the fractional order, the discretized counterpart map with its
 step-size-driven bifurcations, and dataset generation for bifurcation
-diagrams and phase portraits.
+diagrams.
 """
 
 from .bifurcation import (
-    Dataset,
     RegionResult,
     SweepResult,
     cluster_count,

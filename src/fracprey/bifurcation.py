@@ -2,6 +2,7 @@
 stability-region boundary in the (c, m) plane, and tabular export of
 trajectories and orbits."""
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,7 +13,6 @@ from .pece import MAX_GRID_VALUES, Trajectory
 from .stability import critical_order
 
 __all__ = [
-    "Dataset",
     "RegionResult",
     "SweepResult",
     "cluster_count",
@@ -21,10 +21,14 @@ __all__ = [
     "sweep_step_size",
 ]
 
+# Cluster merge radius of cluster_count, relative to the largest finite
+# coordinate magnitude.
+_MERGE_RADIUS_REL = 1e-4
+
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Attractor samples per grid value of the sweep parameter.
+    """Attractor samples per grid value of the step size.
 
     samples[i] holds the recorded post-transient states at
     parameter_values[i] (possibly fewer than requested when the orbit
@@ -32,7 +36,6 @@ class SweepResult:
     locations falling inside the sweep range.
     """
 
-    parameter_name: str
     parameter_values: np.ndarray
     samples: list
     escaped: list
@@ -45,14 +48,6 @@ class RegionResult:
 
     points: list
     skipped: list
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Column-oriented table ready for CSV emission."""
-
-    columns: tuple
-    rows: list
 
 
 def sweep_step_size(
@@ -78,6 +73,10 @@ def sweep_step_size(
     """
     if not 0.0 < s_min < s_max:
         raise ValueError(f"need 0 < s_min < s_max, got {s_min!r}, {s_max!r}")
+    if not math.isfinite(s_max):
+        raise ValueError(f"s_max must be finite, got {s_max!r}")
+    if not math.isfinite(kick):
+        raise ValueError(f"kick must be finite, got {kick!r}")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points!r}")
     if n_samples < 1:
@@ -107,7 +106,6 @@ def sweep_step_size(
         if e.s is not None and s_min <= e.s <= s_max
     ]
     return SweepResult(
-        parameter_name="s",
         parameter_values=s_values,
         samples=samples,
         escaped=escaped,
@@ -115,8 +113,9 @@ def sweep_step_size(
     )
 
 
-def cluster_count(points: np.ndarray, merge_radius_rel: float = 1e-4) -> int:
-    """Number of distinct sample clusters under a relative merge radius.
+def cluster_count(points: np.ndarray) -> int:
+    """Number of distinct sample clusters under the relative merge radius
+    _MERGE_RADIUS_REL.
 
     Greedy and deterministic: a point joins the first existing cluster
     center within radius, otherwise founds a new one.  Adequate for telling
@@ -128,7 +127,7 @@ def cluster_count(points: np.ndarray, merge_radius_rel: float = 1e-4) -> int:
     if pts.shape[0] == 0:
         return 0
     scale = max(float(np.max(np.abs(pts), where=np.isfinite(pts), initial=0.0)), 1e-30)
-    radius = merge_radius_rel * scale
+    radius = _MERGE_RADIUS_REL * scale
     # The first open row founds a center and closes itself and every later
     # row within radius.  Written as "not <=" so a NaN distance leaves a row
     # open, as the point-by-point rule does; slicing off the center's own row
@@ -173,28 +172,13 @@ def stability_region_cm(p: ModelParams, c_grid, tolerance: float = 1e-9) -> Regi
     return RegionResult(points=points, skipped=skipped)
 
 
-def export_series(source, format: str = "series") -> Dataset:
-    """Tabulate a trajectory or orbit.
-
-    format="series" yields (t, x, y) rows for a continuous trajectory and
-    (n, x, y) rows for an orbit; format="phase" yields (x, y) pairs for
-    either.  Empty sources produce a header-only dataset.
-    """
-    if format not in ("series", "phase"):
-        raise ValueError(f"format must be 'series' or 'phase', got {format!r}")
+def export_series(source) -> tuple:
+    """Tabulate a trajectory or orbit as (columns, rows): (t, x, y) rows for
+    a continuous trajectory, (n, x, y) rows for an orbit."""
+    states = np.atleast_2d(source.states)
     if isinstance(source, Trajectory):
-        states = np.atleast_2d(source.states)
-        index = source.times
-        index_name = "t"
+        index, index_name = source.times, "t"
     else:
-        states = np.atleast_2d(source.states)
-        index = np.arange(states.shape[0], dtype=float)
-        index_name = "n"
-    if states.size == 0:
-        return Dataset(columns=("x", "y") if format == "phase" else (index_name, "x", "y"), rows=[])
-    if format == "phase":
-        return Dataset(columns=("x", "y"), rows=[(float(r[0]), float(r[1])) for r in states])
-    return Dataset(
-        columns=(index_name, "x", "y"),
-        rows=[(float(i), float(r[0]), float(r[1])) for i, r in zip(index, states)],
-    )
+        index, index_name = np.arange(states.shape[0], dtype=float), "n"
+    rows = [(float(i), float(r[0]), float(r[1])) for i, r in zip(index, states)]
+    return (index_name, "x", "y"), rows

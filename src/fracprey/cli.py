@@ -26,7 +26,6 @@ import numpy as np
 
 from .bifurcation import export_series, stability_region_cm, sweep_step_size
 from .discrete import (
-    ESCAPE_BOUND,
     DiscreteConfig,
     classify_fixed_points,
     hopf_normal_form,
@@ -34,7 +33,7 @@ from .discrete import (
     step_thresholds,
 )
 from .model import ModelParams, equilibria, interior_point, jacobian, thresholds, vector_field
-from .pece import MAX_GRID_VALUES, SolverConfig, SolverDivergenceError, pece_solve
+from .pece import ESCAPE_BOUND, MAX_GRID_VALUES, SolverConfig, SolverDivergenceError, pece_solve
 from .special import _check_order
 from .stability import classify_equilibria, critical_order, global_stability_check
 
@@ -61,8 +60,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_pair(text: str) -> tuple:
-    """A start state 'x, y': finite, and no further out than an orbit may go
-    before it counts as escaped."""
+    """A start state 'x, y': finite, and no further out than a trajectory or
+    an orbit may go before it counts as escaped."""
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
         raise ValueError(text)
@@ -135,8 +134,7 @@ def write_csv(path, columns, rows) -> None:
 
 def _write_series(path, source) -> None:
     """Write a trajectory or an orbit as (t or n, x, y) rows."""
-    ds = export_series(source)
-    write_csv(path, ds.columns, ds.rows)
+    write_csv(path, *export_series(source))
 
 
 def _sweep_rows(result) -> list:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import ModelParams, _field, equilibria, interior_point, jacobian, thresholds
-from .pece import MAX_GRID_VALUES
+from .pece import ESCAPE_BOUND, MAX_GRID_VALUES
 from .special import _check_order, gamma_fn
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "step_thresholds",
 ]
 
-ESCAPE_BOUND = 1e12
 # |modulus - 1| within this counts as sitting on the unit circle.
 _UNIT_BAND = 1e-12
 
@@ -79,6 +78,8 @@ class DiscreteConfig:
     def __post_init__(self):
         if not self.s > 0:
             raise ValueError(f"step size must be > 0, got {self.s!r}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"step size must be finite, got {self.s!r}")
         _check_order(self.m)
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")

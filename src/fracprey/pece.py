@@ -36,6 +36,7 @@ from .model import _VectorField
 from .special import _check_order, gamma_fn
 
 __all__ = [
+    "ESCAPE_BOUND",
     "MAX_GRID_VALUES",
     "SolverConfig",
     "SolverDivergenceError",
@@ -49,6 +50,12 @@ __all__ = [
 # weights per step, so the budget caps it at about 560 MB.
 MAX_GRID_VALUES = 10_000_000
 
+# Magnitude beyond which a state counts as escaped: pece_solve raises past
+# it, discrete.iterate_orbit flags the orbit, and the CLI rejects a start x0
+# beyond it.  The paper proves both systems bounded, so only a numerical
+# failure gets there.
+ESCAPE_BOUND = 1e12
+
 # Nodes per directly summed block.
 _BLOCK = 64
 
@@ -59,14 +66,14 @@ _SERIES_TERMS = 60
 
 
 class SolverDivergenceError(RuntimeError):
-    """A state component exceeded the blow-up bound or went non-finite."""
+    """A state component exceeded ESCAPE_BOUND or went non-finite."""
 
-    def __init__(self, t: float, state, bound: float):
+    def __init__(self, t: float, state):
         self.t = t
         self.state = np.asarray(state)
-        self.bound = bound
+        self.bound = ESCAPE_BOUND
         super().__init__(
-            f"solution escaped at t={t:g}: |state| exceeded {bound:g} "
+            f"solution escaped at t={t:g}: |state| exceeded {ESCAPE_BOUND:g} "
             f"(state={np.array2string(self.state, precision=6)})"
         )
 
@@ -82,7 +89,6 @@ class SolverConfig:
     step: float
     horizon: float
     corrector_sweeps: int = 1
-    blowup_bound: float = 1e12
 
     def __post_init__(self):
         if not self.step > 0:
@@ -93,8 +99,6 @@ class SolverConfig:
             )
         if self.corrector_sweeps < 1:
             raise ValueError(f"corrector_sweeps must be >= 1, got {self.corrector_sweeps!r}")
-        if not self.blowup_bound > 0:
-            raise ValueError(f"blowup_bound must be > 0, got {self.blowup_bound!r}")
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,8 @@ class Trajectory:
     times[0] = 0, strictly increasing; states has one row per node.
     """
 
-    order: float
     times: np.ndarray
     states: np.ndarray
-    scheme: str = "pece"
 
 
 def history_weights(m: float, n: int):
@@ -195,8 +197,10 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     step loop, and both give the same bits.  The predictor convolves the
     history with rectangle-rule weights, the corrector with trapezoid-rule
     weights, repeated cfg.corrector_sweeps times; the final evaluation seeds
-    the next step's history.  Raises ValueError, before allocating the grid,
-    when its steps times state size exceed MAX_GRID_VALUES.
+    the next step's history.  Raises SolverDivergenceError at the first node
+    with a component beyond ESCAPE_BOUND or not finite, and ValueError,
+    before allocating the grid, when its steps times state size exceed
+    MAX_GRID_VALUES.
     """
     _check_order(m)
     h = cfg.step
@@ -212,7 +216,7 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     weights = history_weights(m, n_steps)
     c_pred = h**m / gamma_fn(m + 1.0)
     c_corr = h**m / gamma_fn(m + 2.0)
-    sweeps, bound = cfg.corrector_sweeps, cfg.blowup_bound
+    sweeps = cfg.corrector_sweeps
 
     states = np.empty((n_steps + 1, u0.size))
     rates = np.empty_like(states)
@@ -252,8 +256,8 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
 
             for v in value:
                 # "not <=" also catches NaN and inf
-                if not abs(v) <= bound:
-                    raise SolverDivergenceError(i * h, value, bound)
+                if not abs(v) <= ESCAPE_BOUND:
+                    raise SolverDivergenceError(i * h, value)
             states[i] = value
             rates[i] = field(*value)
 
@@ -265,4 +269,4 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
             _add_history(rates[stop - width : stop], kernels, hist[stop : stop + width])
 
     times = np.arange(n_steps + 1, dtype=float) * h
-    return Trajectory(order=m, times=times, states=states, scheme="pece")
+    return Trajectory(times=times, states=states)

@@ -95,21 +95,21 @@ class TestClusterCount:
         assert cluster_count(pts) == 2
 
     def test_radius_controls_merging(self):
-        pts = np.array([[1.0, 0.0], [1.1, 0.0]])
-        assert cluster_count(pts, merge_radius_rel=0.5) == 1
-        assert cluster_count(pts, merge_radius_rel=1e-3) == 2
+        # the merge radius is 1e-4 relative to the largest coordinate (~1)
+        assert cluster_count(np.array([[1.0, 0.0], [1.0 + 0.5e-4, 0.0]])) == 1
+        assert cluster_count(np.array([[1.0, 0.0], [1.0 + 2e-4, 0.0]])) == 2
 
     def test_empty(self):
         assert cluster_count(np.empty((0, 2))) == 0
 
     @staticmethod
-    def greedy_reference(points, merge_radius_rel=1e-4):
+    def greedy_reference(points):
         """Point by point: join the first center within radius, else found one."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 0:
             return 0
         finite = np.abs(pts[np.isfinite(pts)])
-        radius = merge_radius_rel * max(float(finite.max()) if finite.size else 0.0, 1e-30)
+        radius = 1e-4 * max(float(finite.max()) if finite.size else 0.0, 1e-30)
         centers = []
         for row in pts:
             for center in centers:
@@ -126,8 +126,7 @@ class TestClusterCount:
             spread = 10.0 ** rng.uniform(-7.0, 0.0)
             centers = rng.uniform(-5.0, 5.0, size=(k, 2))
             pts = centers[rng.integers(0, k, size=120)] + spread * rng.standard_normal((120, 2))
-            for rel in (1e-4, 1e-2):
-                assert cluster_count(pts, rel) == self.greedy_reference(pts, rel)
+            assert cluster_count(pts) == self.greedy_reference(pts)
 
     def test_nan_rows_match_greedy_reference(self):
         # a NaN row is never within radius of anything, so each one founds
@@ -189,45 +188,31 @@ class TestStabilityRegion:
 class TestExport:
     def test_trajectory_rows(self):
         traj = Trajectory(
-            order=0.9,
             times=np.array([0.0, 0.1, 0.2]),
             states=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
         )
-        ds = export_series(traj)
-        assert ds.columns == ("t", "x", "y")
-        assert len(ds.rows) == 3
-        assert ds.rows[1] == (0.1, 3.0, 4.0)
+        columns, rows = export_series(traj)
+        assert columns == ("t", "x", "y")
+        assert len(rows) == 3
+        assert rows[1] == (0.1, 3.0, 4.0)
 
     def test_orbit_rows(self, mid_complexity):
         orbit = iterate_orbit(mid_complexity, DiscreteConfig(s=0.1, m=0.9, iterations=4), (10.0, 5.0))
-        ds = export_series(orbit)
-        assert ds.columns == ("n", "x", "y")
-        assert len(ds.rows) == 5
-        assert ds.rows[0] == (0.0, 10.0, 5.0)
-
-    def test_phase_pairs(self):
-        traj = Trajectory(order=1.0, times=np.array([0.0, 0.1]), states=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        ds = export_series(traj, format="phase")
-        assert ds.columns == ("x", "y")
-        assert ds.rows == [(1.0, 2.0), (3.0, 4.0)]
+        columns, rows = export_series(orbit)
+        assert columns == ("n", "x", "y")
+        assert len(rows) == 5
+        assert rows[0] == (0.0, 10.0, 5.0)
 
     def test_empty_source(self):
-        traj = Trajectory(order=1.0, times=np.empty(0), states=np.empty((0, 2)))
-        ds = export_series(traj)
-        assert ds.columns == ("t", "x", "y")
-        assert ds.rows == []
-
-    def test_unknown_format(self):
-        traj = Trajectory(order=1.0, times=np.array([0.0]), states=np.array([[1.0, 2.0]]))
-        with pytest.raises(ValueError):
-            export_series(traj, format="wide")
+        traj = Trajectory(times=np.empty(0), states=np.empty((0, 2)))
+        assert export_series(traj) == (("t", "x", "y"), [])
 
     def test_round_trip_through_serialization(self, mid_complexity):
         orbit = iterate_orbit(mid_complexity, DiscreteConfig(s=0.11, m=0.77, iterations=30), (10.0, 5.0))
-        ds = export_series(orbit)
-        text = [",".join(format_number(v) for v in row) for row in ds.rows]
+        _, rows = export_series(orbit)
+        text = [",".join(format_number(v) for v in row) for row in rows]
         parsed = [tuple(float(v) for v in line.split(",")) for line in text]
-        for original, back in zip(ds.rows, parsed):
+        for original, back in zip(rows, parsed):
             for a, b in zip(original, back):
                 assert b == pytest.approx(a, rel=1e-14, abs=1e-300)
         # re-serialization is byte-stable

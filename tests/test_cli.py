@@ -444,6 +444,10 @@ REJECTED = {
     "c_min_inf": (REGION + ["--c-min", "inf"], "c_min"),
     "c_max_nan": (REGION + ["--c-max", "nan"], "c_max"),
     "c_max_inf": (REGION + ["--c-max", "inf"], "c_max"),
+    "s_inf": (DISCRETE + ["--s", "inf"], "step size"),
+    "s_max_inf": (SWEEP + ["--s-max", "inf"], "s_max"),
+    "kick_nan": (SWEEP + ["--kick", "nan"], "kick"),
+    "kick_inf": (SWEEP + ["--kick", "inf"], "kick"),
 }
 
 
@@ -458,9 +462,11 @@ class TestRejectedInputs:
         assert named in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("name", ["c_min_nan", "c_min_inf", "c_max_nan", "c_max_inf"])
+    @pytest.mark.parametrize("name", ["c_min_nan", "c_min_inf", "c_max_nan", "c_max_inf",
+                                      "s_inf", "s_max_inf", "kick_nan", "kick_inf"])
     def test_non_finite_grid_end_rejected_before_linspace(self, tmp_path, name):
-        # np.linspace over a non-finite end warns; the check runs first
+        # np.linspace over a non-finite end warns, and so does arithmetic on a
+        # non-finite step or kick; the checks run first
         argv, _ = REJECTED[name]
         with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("error")

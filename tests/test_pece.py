@@ -20,7 +20,7 @@ from fracprey import (
     pece_solve,
     vector_field,
 )
-from fracprey.pece import MAX_GRID_VALUES, _add_history, _fft_length, history_weights
+from fracprey.pece import ESCAPE_BOUND, MAX_GRID_VALUES, _add_history, _fft_length, history_weights
 
 
 def linear_decay(u):
@@ -305,22 +305,17 @@ class TestDivergence:
         with pytest.raises(SolverDivergenceError):
             pece_solve(lambda u: u * u, [10.0], 1.0, SolverConfig(step=0.5, horizon=50.0))
 
-    def test_bound_is_configurable(self):
-        cfg = SolverConfig(step=0.1, horizon=30.0, blowup_bound=100.0)
-        with pytest.raises(SolverDivergenceError):
-            pece_solve(lambda u: u, [1.0], 1.0, cfg)
-
-    # each case diverges first at the node t; the non-finite entry sits in the
-    # last component, where a max() over the components would miss a NaN, and
-    # an int bound must still be compared as a number
+    # each case diverges first at the node t, against the one ESCAPE_BOUND;
+    # the non-finite entry sits in the last component, where a max() over the
+    # components would miss a NaN
     @pytest.mark.parametrize(
         "rhs,x0,m,cfg,t",
         [
             (lambda u: np.array([-u[0], -u[1] if u[0] > 0.5 else math.nan]), [1.0, 1.0], 0.9,
              SolverConfig(step=0.05, horizon=10.0), 0.65),
             (lambda u: -u, [1.0, math.inf], 0.9, SolverConfig(step=0.05, horizon=10.0), 0.05),
-            (lambda u: u, [1.0], 1.0, SolverConfig(step=0.1, horizon=30.0, blowup_bound=100), 4.7),
-            (lambda u: u, [1.0, 0.5], 0.8, SolverConfig(step=0.1, horizon=30.0, blowup_bound=100), 4.5),
+            (lambda u: u, [1.0], 1.0, SolverConfig(step=0.1, horizon=30.0), 27.7),
+            (lambda u: u, [1.0, 0.5], 0.8, SolverConfig(step=0.1, horizon=30.0), 27.6),
         ],
         ids=["nan_rate", "inf_start", "int_bound", "int_bound_2d"],
     )
@@ -329,8 +324,8 @@ class TestDivergence:
             with pytest.raises(SolverDivergenceError) as info:
                 pece_solve(rhs, x0, m, cfg)
         assert info.value.t == pytest.approx(t, abs=1e-12)
-        assert info.value.bound == cfg.blowup_bound
-        assert not np.all(np.abs(info.value.state) <= cfg.blowup_bound)
+        assert info.value.bound == ESCAPE_BOUND
+        assert not np.all(np.abs(info.value.state) <= ESCAPE_BOUND)
 
 
 class TestConfigValidation:
