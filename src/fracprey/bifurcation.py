@@ -21,6 +21,9 @@ __all__ = [
     "sweep_step_size",
 ]
 
+# Distance a stability_region_cm grid value keeps from the ends of (0, c2).
+_C_MARGIN = 1e-9
+
 # Cluster merge radius of cluster_count, relative to the largest finite
 # coordinate magnitude.
 _MERGE_RADIUS_REL = 1e-4
@@ -140,17 +143,15 @@ def cluster_count(points: np.ndarray) -> int:
     return count
 
 
-def stability_region_cm(p: ModelParams, c_grid, tolerance: float = 1e-9) -> RegionResult:
+def stability_region_cm(p: ModelParams, c_grid) -> RegionResult:
     """Critical-order boundary m*(c) of the interior state over a c grid.
 
     Only complexities strictly inside (0, c2) produce an order-driven
-    stability switch; grid values outside that window (within `tolerance`
+    stability switch; grid values outside that window (within _C_MARGIN
     of its ends) are skipped with a reason.  Below the returned curve the
     interior state is stable, above it unstable.  Raises ValueError for an
-    empty grid or a tolerance that is not positive.
+    empty grid.
     """
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if len(c_grid) == 0:
         raise ValueError("c_grid must hold at least one value")
     th = thresholds(p)
@@ -161,7 +162,7 @@ def stability_region_cm(p: ModelParams, c_grid, tolerance: float = 1e-9) -> Regi
         if th.c2 is None:
             skipped.append((c, "c2 undefined for these parameters"))
             continue
-        if not tolerance < c < th.c2 - tolerance:
+        if not _C_MARGIN < c < th.c2 - _C_MARGIN:
             skipped.append((c, f"c outside (0, c2={th.c2:.6g})"))
             continue
         result = critical_order(replace(p, c=c))

@@ -56,8 +56,8 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("r", "K", "alpha", "h", "d"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)!r}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ParameterError(f"{name} must be > 0 and finite, got {getattr(self, name)!r}")
         if not 0.0 <= self.c < 1.0:
             raise ParameterError(f"c must satisfy 0 <= c < 1, got {self.c!r}")
         if not 0.0 < self.theta < 1.0:

@@ -45,9 +45,10 @@ __all__ = [
     "pece_solve",
 ]
 
-# Largest n_steps x state size pece_solve accepts.  The solve stores four
-# float64 values per grid value (state, rate and two history sums) and three
-# weights per step, so the budget caps it at about 560 MB.
+# Largest n_steps x state size x corrector sweeps pece_solve accepts.  The
+# solve stores four float64 values per grid value (state, rate and two
+# history sums) and three weights per step, so the budget caps it at about
+# 560 MB; counting the sweeps bounds the field calls of the step loop too.
 MAX_GRID_VALUES = 10_000_000
 
 # Magnitude beyond which a state counts as escaped: pece_solve raises past
@@ -83,7 +84,7 @@ class SolverConfig:
     """Grid and scheme options for pece_solve.
 
     The grid has floor(horizon / step) steps; pece_solve rejects a grid whose
-    steps times state size exceed MAX_GRID_VALUES.
+    steps times state size times corrector_sweeps exceed MAX_GRID_VALUES.
     """
 
     step: float
@@ -199,24 +200,24 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     weights, repeated cfg.corrector_sweeps times; the final evaluation seeds
     the next step's history.  Raises SolverDivergenceError at the first node
     with a component beyond ESCAPE_BOUND or not finite, and ValueError,
-    before allocating the grid, when its steps times state size exceed
-    MAX_GRID_VALUES.
+    before allocating the grid, when its steps times state size times
+    corrector sweeps exceed MAX_GRID_VALUES.
     """
     _check_order(m)
     h = cfg.step
     u0 = np.atleast_1d(np.asarray(x0, dtype=float))
     steps = cfg.horizon / h + 1e-9
-    if not steps * u0.size <= MAX_GRID_VALUES:
+    sweeps = cfg.corrector_sweeps
+    if not steps * u0.size * sweeps <= MAX_GRID_VALUES:
         raise ValueError(
-            f"grid of {steps:.6g} steps x {u0.size} state components exceeds the "
-            f"solver budget of {MAX_GRID_VALUES} values; shorten horizon or enlarge step"
+            f"grid of {steps:.6g} steps x {u0.size} state components x {sweeps} corrector sweeps "
+            f"exceeds the solver budget of {MAX_GRID_VALUES} values"
         )
     n_steps = int(steps)
 
     weights = history_weights(m, n_steps)
     c_pred = h**m / gamma_fn(m + 1.0)
     c_corr = h**m / gamma_fn(m + 2.0)
-    sweeps = cfg.corrector_sweeps
 
     states = np.empty((n_steps + 1, u0.size))
     rates = np.empty_like(states)

@@ -23,9 +23,10 @@ import numpy as np
 
 __all__ = ["MittagLefflerError", "gamma_fn", "mittag_leffler"]
 
-# Partial sums are trusted only while the largest term stays below this cap;
-# past it, the rounding of terms that size (and of the lgamma argument that
-# scales with the peak) eats the 1e-10 absolute budget.
+# Absolute error budget of mittag_leffler.  Partial sums are trusted only
+# while their largest term stays below _SERIES_TERM_CAP: past it, rounding of
+# terms that size (and of the peak's lgamma argument) eats the budget.
+_TOL = 1e-10
 _SERIES_TERM_CAP = 1e3
 _MAX_TERMS = 20_000
 
@@ -112,13 +113,13 @@ def quad(m: float, x: float, tol: float) -> float:
     return float(fine)
 
 
-def mittag_leffler(m: float, z: float, tol: float = 1e-10) -> float:
+def mittag_leffler(m: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_m(z) = sum z^k / Gamma(m k + 1).
 
     E_1 reduces to exp and E_m(0) = 1.  A negative argument goes to the
     contour rule (quad): absolute error about 1e-15 for every x, checked
-    against tol by the step-2h rule.  A positive argument goes to the power
-    series, which raises MittagLefflerError where it cannot reach tol.
+    against _TOL by the step-2h rule.  A positive argument goes to the power
+    series, which raises MittagLefflerError where it cannot reach _TOL.
     """
     _check_order(m)
     if m == 1.0:
@@ -126,8 +127,8 @@ def mittag_leffler(m: float, z: float, tol: float = 1e-10) -> float:
     if z == 0.0:
         return 1.0
     if z < 0.0:
-        return quad(m, -z, tol)
-    val = _series(m, z, tol)
+        return quad(m, -z, _TOL)
+    val = _series(m, z, _TOL)
     if val is None:
         raise MittagLefflerError(
             f"E_{m}({z}): positive argument outside the series-safe region"

@@ -151,11 +151,6 @@ class TestStabilityRegion:
         assert len(result.skipped) == 5
         assert all("c2" in reason or "outside" in reason for _, reason in result.skipped)
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
-    def test_tolerance_must_be_positive(self, low_complexity, tolerance):
-        with pytest.raises(ValueError, match="tolerance must be > 0"):
-            stability_region_cm(low_complexity, [0.05], tolerance=tolerance)
-
     def test_empty_grid_rejected(self, low_complexity):
         with pytest.raises(ValueError, match="at least one value"):
             stability_region_cm(low_complexity, np.linspace(0.02, 0.1, 0))

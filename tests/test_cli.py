@@ -292,6 +292,26 @@ class TestCliRuns:
         assert len(rows) == 20
         assert "hopf" in capsys.readouterr().out
 
+    def test_only_set_options_reach_the_library(self, tmp_path, monkeypatch):
+        # 0 and no are set values and pass through; an unset option is left
+        # out, so the library default applies
+        calls = []
+        real = fracprey.cli.sweep_step_size
+
+        def sweep(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fracprey.cli, "sweep_step_size", sweep)
+        config = tmp_path / "run.cfg"
+        config.write_text(BASE_CONFIG.replace("c = 0.86", "c = 0.45"), encoding="utf-8")
+        argv = ["sweep", "--config", str(config), "--m", "0.95", "--s-min", "0.18",
+                "--s-max", "0.21", "--n-points", "2", "--output", str(tmp_path / "sweep.csv")]
+        assert main(argv + ["--transient", "0", "--kick", "0", "--no-follow"]) == 0
+        assert main(argv) == 0
+        assert calls == [dict(x0=(10.0, 5.0), transient=0, follow=False, kick=0.0),
+                         dict(x0=(10.0, 5.0))]
+
     def test_region_schema(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(BASE_CONFIG.replace("mode = thresholds", "mode = region"), encoding="utf-8")
@@ -362,7 +382,8 @@ class TestReproduce:
         ],
     )
     def test_scalar_tolerances(self, name, expected, value, ok):
-        assert fracprey.cli._scalar_passes(name, expected, value) is ok
+        tol = fracprey.cli.GAMMA_TOL if name == "gamma" else fracprey.cli.SCALAR_TOL
+        assert fracprey.cli._within(expected, value, tol) is ok
 
     @pytest.mark.parametrize(
         "expected,value,ok",
@@ -370,7 +391,7 @@ class TestReproduce:
          (0.0041, 0.0041 + 4.9e-4, True), (0.0041, 0.0041 + 5.1e-4, False)],
     )
     def test_step_tolerances(self, expected, value, ok):
-        assert fracprey.cli._step_passes(expected, value) is ok
+        assert fracprey.cli._within(expected, value, fracprey.cli.STEP_TOL) is ok
 
     def test_same_second_run_does_not_overwrite(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("fracprey.cli.time.strftime", lambda fmt: "20260101-000000")
@@ -424,6 +445,7 @@ REJECTED = {
     "step_negative": (SIMULATE + ["--step", "-1"], "step"),
     "horizon_below_step": (SIMULATE + ["--horizon", "0.01"], "horizon"),
     "corrector_sweeps_zero": (SIMULATE + ["--corrector-sweeps", "0"], "corrector_sweeps"),
+    "corrector_sweeps_budget": (SIMULATE + ["--corrector-sweeps", "1000000000"], "budget"),
     "s_zero": (DISCRETE + ["--s", "0"], "step size"),
     "iterations_zero": (DISCRETE + ["--iterations", "0"], "iterations"),
     "discrete_transient_negative": (DISCRETE + ["--transient", "-1"], "transient"),
@@ -433,8 +455,6 @@ REJECTED = {
     "s_max_below_s_min": (SWEEP + ["--s-max", "0.05"], "s_max"),
     "n_points_one": (SWEEP + ["--n-points", "1"], "n_points"),
     "c_points_zero": (REGION + ["--c-points", "0"], "c_grid"),
-    "tolerance_zero": (REGION + ["--tolerance", "0"], "tolerance"),
-    "tolerance_negative": (REGION + ["--tolerance", "-1"], "tolerance"),
     "normal_form_m_without_interior": (["normal-form", "--c", "0.86", "--m", "1.5"], "0 < m <= 1"),
     "x0_infinite": (SIMULATE + ["--x0", "inf,5"], "x0"),
     "x0_nan": (DISCRETE + ["--x0", "nan,5"], "x0"),
@@ -448,6 +468,8 @@ REJECTED = {
     "s_max_inf": (SWEEP + ["--s-max", "inf"], "s_max"),
     "kick_nan": (SWEEP + ["--kick", "nan"], "kick"),
     "kick_inf": (SWEEP + ["--kick", "inf"], "kick"),
+    "K_inf": (["equilibria", "--c", "0.45", "--K", "inf"], "K must be > 0"),
+    "r_inf": (["stability", "--c", "0.45", "--m", "0.9", "--r", "inf"], "r must be > 0"),
 }
 
 
@@ -501,7 +523,6 @@ VALID = {
     "c_min": st.floats(0.0, 0.99),
     "c_max": st.floats(0.0, 0.99),
     "c_points": st.integers(1, 10),
-    "tolerance": st.floats(1e-12, 1e-3),
 }
 
 

@@ -66,6 +66,8 @@ class TestParams:
             ModelParams(r=0.0, K=898.0, alpha=0.045, h=0.0437, theta=0.215, c=0.4, d=1.06)
         with pytest.raises(ParameterError, match="d must"):
             ModelParams(r=2.65, K=898.0, alpha=0.045, h=0.0437, theta=0.215, c=0.4, d=-1.0)
+        with pytest.raises(ParameterError, match="K must be > 0 and finite"):
+            ModelParams(r=2.65, K=float("inf"), alpha=0.045, h=0.0437, theta=0.215, c=0.4, d=1.06)
 
 
 class TestField:

@@ -347,7 +347,12 @@ class TestResources:
         over = SolverConfig(step=1.0, horizon=MAX_GRID_VALUES // 2 + 1.0)
         tracemalloc.start()
         try:
-            for cfg in (over, SolverConfig(step=0.05, horizon=1e9), SolverConfig(step=0.05, horizon=math.inf)):
+            for cfg in (
+                over,
+                SolverConfig(step=0.05, horizon=1e9),
+                SolverConfig(step=0.05, horizon=math.inf),
+                SolverConfig(step=0.05, horizon=1.0, corrector_sweeps=10**9),
+            ):
                 with pytest.raises(ValueError, match="budget"):
                     pece_solve(lambda u: -u, [1.0, 2.0], 0.9, cfg)
             peak = tracemalloc.get_traced_memory()[1]
