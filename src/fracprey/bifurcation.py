@@ -13,6 +13,7 @@ from .pece import MAX_GRID_VALUES, Trajectory
 from .stability import critical_order
 
 __all__ = [
+    "DEFAULT_X0",
     "RegionResult",
     "SweepResult",
     "cluster_count",
@@ -20,6 +21,10 @@ __all__ = [
     "stability_region_cm",
     "sweep_step_size",
 ]
+
+# Start state of the paper's examples: the sweep restarts from it, and the
+# CLI starts every run from it unless told otherwise.
+DEFAULT_X0 = (10.0, 5.0)
 
 # Distance a stability_region_cm grid value keeps from the ends of (0, c2).
 _C_MARGIN = 1e-9
@@ -61,7 +66,7 @@ def sweep_step_size(
     n_points: int,
     transient: int = 2000,
     n_samples: int = 200,
-    x0=(10.0, 5.0),
+    x0=DEFAULT_X0,
     follow: bool = True,
     kick: float = 0.0,
 ) -> SweepResult:

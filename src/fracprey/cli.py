@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bifurcation import export_series, stability_region_cm, sweep_step_size
+from .bifurcation import DEFAULT_X0, export_series, stability_region_cm, sweep_step_size
 from .discrete import (
     DiscreteConfig,
     classify_fixed_points,
@@ -105,7 +105,7 @@ _OPTIONS = {
 RunConfig = make_dataclass(
     "RunConfig",
     [("params", Optional[ModelParams]), ("mode", str), ("output", Optional[str], None)]
-    + [(key, Any, (10.0, 5.0) if key == "x0" else None) for key in _OPTIONS],
+    + [(key, Any, DEFAULT_X0 if key == "x0" else None) for key in _OPTIONS],
     frozen=True,
 )
 RunConfig.__doc__ = "One CLI run: the model parameters, the mode and every option key."
@@ -461,9 +461,9 @@ def _run_reproduce(cfg: RunConfig) -> int:
     write_csv(outdir / "step_size_table.csv", ("m", "s2", "s3", "s4", "s5"), table_rows)
 
     for m in (0.8, 0.95, 1.0):
-        traj = pece_solve(vector_field(p86), (10.0, 5.0), m, SolverConfig(step=0.05, horizon=80.0))
+        traj = pece_solve(vector_field(p86), DEFAULT_X0, m, SolverConfig(step=0.05, horizon=80.0))
         _write_series(outdir / f"predator_free_series_m{int(round(m * 100)):03d}.csv", traj)
-    traj = pece_solve(vector_field(p45), (10.0, 5.0), 0.9, SolverConfig(step=0.05, horizon=150.0))
+    traj = pece_solve(vector_field(p45), DEFAULT_X0, 0.9, SolverConfig(step=0.05, horizon=150.0))
     _write_series(outdir / "interior_series_m090.csv", traj)
 
     start = np.array(interior_point(p05)) + 1.0

@@ -16,11 +16,14 @@ all components, one of both kernels and one inverse per kernel.
 
 The step arithmetic runs on Python floats, since numpy calls on a short
 state vector cost more than the arithmetic they do.  Per step numpy does
-only the in-block dot product and the row stores.  The field entry is
-chosen once per solve: the model's vector_field is called through its float
-closure, which returns a tuple of rates, and any other rhs keeps the ndarray
-contract through an adapter that hands it a fresh array.  Per
-component the predictor is u0 + c_pred (out + in) and the corrector
+only the in-block dot product and the row stores.  The step loop is chosen
+once per solve.  The model's vector_field takes a two-component loop on
+named floats: it calls the field's float closure, which returns a tuple of
+rates, stores only each node's final rate and writes a block's states in
+one store.  Any other rhs takes the generic per-component loop, the only
+one for state sizes other than 2, which keeps the ndarray contract through
+an adapter that hands it a fresh array.  In both loops, per component, the
+predictor is u0 + c_pred (out + in) and the corrector
 u0 + c_corr (f + (out + in)), out and in being the history sums from outside
 and inside the node's block: the operation order of the vector form, which
 the golden trajectory hashes of the tests pin bit for bit.
@@ -194,14 +197,15 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     rhs maps a state vector, passed as a fresh float64 array, to its rate
     vector, or to anything that broadcasts to the state's shape (autonomous
     field).  The field of model.vector_field is instead called on the state's
-    floats through its rates closure; the entry is chosen once, before the
-    step loop, and both give the same bits.  The predictor convolves the
-    history with rectangle-rule weights, the corrector with trapezoid-rule
-    weights, repeated cfg.corrector_sweeps times; the final evaluation seeds
-    the next step's history.  Raises SolverDivergenceError at the first node
-    with a component beyond ESCAPE_BOUND or not finite, and ValueError,
-    before allocating the grid, when its steps times state size times
-    corrector sweeps exceed MAX_GRID_VALUES.
+    two floats through its rates closure, in a step loop of its own; the loop
+    is chosen once, before the first step, and both give the same bits.  The
+    predictor convolves the history with rectangle-rule weights, the
+    corrector with trapezoid-rule weights, repeated cfg.corrector_sweeps
+    times; the final evaluation seeds the next step's history.  Raises
+    SolverDivergenceError at the first node with a component beyond
+    ESCAPE_BOUND or not finite, and ValueError, before allocating the grid,
+    when its steps times state size times corrector sweeps exceed
+    MAX_GRID_VALUES.
     """
     _check_order(m)
     h = cfg.step
@@ -237,30 +241,58 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     tails = [rev[:, block - w :] for w in range(block)]
     anchor = u0.tolist()
     # the step calls the field on the float components of a state: the
-    # model's field by its float closure, any other callable on a fresh array
-    if isinstance(rhs, _VectorField):
+    # model's field by its float closure, in a loop on named floats (it has
+    # two components; rates[0] above fails on any other size), any other
+    # callable on a fresh array
+    pair = isinstance(rhs, _VectorField)
+    if pair:
         field = rhs.rates
+        a0, a1 = anchor
     else:
         field = lambda *v: rhs(np.array(v))
 
     for start in range(1, n_steps + 1, _BLOCK):
         stop = min(start + _BLOCK, n_steps + 1)
-        for i, (out_pred, out_corr), tail in zip(range(start, stop), hist[start:stop].tolist(), tails):
-            in_pred, in_corr = np.dot(tail, rates[start:i]).tolist()
-            value = [u + c_pred * (o + n) for u, o, n in zip(anchor, out_pred, in_pred)]
-            corr_sums = [o + n for o, n in zip(out_corr, in_corr)]
-            for _ in range(sweeps):
-                # the row store casts and broadcasts the rate as rates[0] does
-                rates[i] = field(*value)
-                rate = rates[i].tolist()
-                value = [u + c_corr * (f + s) for u, f, s in zip(anchor, rate, corr_sums)]
+        if pair:
+            # The closure returns floats, so a corrector sweep needs no rate
+            # row: the in-block dot reads rates[start:i] only, and the final
+            # evaluation is the one stored.
+            block_states = []
+            rows = zip(range(start, stop), hist[start:stop].tolist(), tails)
+            for i, ((op0, op1), (oc0, oc1)), tail in rows:
+                (ip0, ip1), (ic0, ic1) = np.dot(tail, rates[start:i]).tolist()
+                v0 = a0 + c_pred * (op0 + ip0)
+                v1 = a1 + c_pred * (op1 + ip1)
+                s0 = oc0 + ic0
+                s1 = oc1 + ic1
+                for _ in range(sweeps):
+                    f0, f1 = field(v0, v1)
+                    v0 = a0 + c_corr * (f0 + s0)
+                    v1 = a1 + c_corr * (f1 + s1)
 
-            for v in value:
                 # "not <=" also catches NaN and inf
-                if not abs(v) <= ESCAPE_BOUND:
-                    raise SolverDivergenceError(i * h, value)
-            states[i] = value
-            rates[i] = field(*value)
+                if not (abs(v0) <= ESCAPE_BOUND and abs(v1) <= ESCAPE_BOUND):
+                    raise SolverDivergenceError(i * h, [v0, v1])
+                block_states.append((v0, v1))
+                rates[i] = field(v0, v1)
+            states[start:stop] = block_states
+        else:
+            for i, (out_pred, out_corr), tail in zip(range(start, stop), hist[start:stop].tolist(), tails):
+                in_pred, in_corr = np.dot(tail, rates[start:i]).tolist()
+                value = [u + c_pred * (o + n) for u, o, n in zip(anchor, out_pred, in_pred)]
+                corr_sums = [o + n for o, n in zip(out_corr, in_corr)]
+                for _ in range(sweeps):
+                    # the row store casts and broadcasts the rate as rates[0] does
+                    rates[i] = field(*value)
+                    rate = rates[i].tolist()
+                    value = [u + c_corr * (f + s) for u, f, s in zip(anchor, rate, corr_sums)]
+
+                for v in value:
+                    # "not <=" also catches NaN and inf
+                    if not abs(v) <= ESCAPE_BOUND:
+                        raise SolverDivergenceError(i * h, value)
+                states[i] = value
+                rates[i] = field(*value)
 
         if stop <= n_steps:
             # The blocks so far end a left half of the dyadic node tree whose

@@ -119,7 +119,8 @@ def mittag_leffler(m: float, z: float) -> float:
     E_1 reduces to exp and E_m(0) = 1.  A negative argument goes to the
     contour rule (quad): absolute error about 1e-15 for every x, checked
     against _TOL by the step-2h rule.  A positive argument goes to the power
-    series, which raises MittagLefflerError where it cannot reach _TOL.
+    series, which raises MittagLefflerError where it cannot reach _TOL.  A
+    NaN argument raises ValueError, except at m = 1, where exp returns NaN.
     """
     _check_order(m)
     if m == 1.0:
@@ -128,6 +129,8 @@ def mittag_leffler(m: float, z: float) -> float:
         return 1.0
     if z < 0.0:
         return quad(m, -z, _TOL)
+    if math.isnan(z):
+        raise ValueError(f"z must not be NaN, got {z!r}")
     val = _series(m, z, _TOL)
     if val is None:
         raise MittagLefflerError(

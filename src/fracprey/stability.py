@@ -235,9 +235,10 @@ def boundedness_envelope(p: ModelParams, m: float, eta: float, V0: float, t: flo
     """
     if not 0.0 < eta < p.d:
         raise ParameterError(f"eta must satisfy 0 < eta < d={p.d}, got {eta!r}")
-    if V0 < 0.0:
+    # "not >=" also rejects NaN
+    if not V0 >= 0.0:
         raise ParameterError(f"V0 must be >= 0, got {V0!r}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ParameterError(f"t must be >= 0, got {t!r}")
     level = p.K * (p.r + eta) ** 2 / (4.0 * p.r) / eta
     return (V0 - level) * mittag_leffler(m, -eta * t**m) + level

@@ -180,6 +180,39 @@ class TestFieldEntry:
         plain = pece_solve(lambda u: field(u), [10.0, 5.0], m, cfg).states
         assert np.array_equal(fast, plain)
 
+    # a grid shorter than one block, and grids around the _BLOCK = 64 edge
+    @pytest.mark.parametrize("n_steps", [1, 63, 64, 65])
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    @pytest.mark.parametrize("regime", ["high_complexity", "mid_complexity", "low_complexity"])
+    def test_block_edges(self, request, regime, sweeps, n_steps):
+        field = vector_field(request.getfixturevalue(regime))
+        cfg = SolverConfig(step=0.05, horizon=0.05 * n_steps, corrector_sweeps=sweeps)
+        fast = pece_solve(field, [10.0, 5.0], 0.9, cfg).states
+        plain = pece_solve(lambda u: field(u), [10.0, 5.0], 0.9, cfg).states
+        assert fast.shape == (n_steps + 1, 2)
+        assert np.array_equal(fast, plain)
+
+    # both entries must escape at the same node with the same state: a step
+    # too large for the mid regime, and a start whose rate is NaN
+    @pytest.mark.parametrize(
+        "x0,m,cfg,t",
+        [
+            ([10.0, 5.0], 1.0, SolverConfig(step=1.5, horizon=30.0), 12.0),
+            ([math.inf, 5.0], 0.9, SolverConfig(step=0.05, horizon=1.0), 0.05),
+        ],
+        ids=["large_step", "inf_start"],
+    )
+    def test_divergence_matches_array_contract(self, mid_complexity, x0, m, cfg, t):
+        field = vector_field(mid_complexity)
+        errors = []
+        for rhs in (field, lambda u: field(u)):
+            with np.errstate(invalid="ignore"), pytest.raises(SolverDivergenceError) as info:
+                pece_solve(rhs, x0, m, cfg)
+            errors.append(info.value)
+        fast, plain = errors
+        assert fast.t == plain.t == pytest.approx(t, abs=1e-12)
+        assert np.array_equal(fast.state, plain.state, equal_nan=True)
+
 
 def mittag_leffler_series(m, z, digits=40):
     """E_m(z) by its power series at `digits` digits: an oracle independent

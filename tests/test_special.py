@@ -133,6 +133,13 @@ class TestMittagLeffler:
         with pytest.raises(MittagLefflerError):
             mittag_leffler(0.5, 60.0)
 
+    def test_nan_argument_rejected(self):
+        # a NaN fails both z == 0 and z < 0; the series would run to its term
+        # cap and then report a tolerance failure
+        for m in (0.5, 0.9):
+            with pytest.raises(ValueError, match="z must not be NaN"):
+                mittag_leffler(m, math.nan)
+
 
 class TestContourRule:
     """E_m(-x) from the fixed-node parabolic contour rule."""

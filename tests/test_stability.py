@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from fracprey import (
     NonhyperbolicError,
+    ParameterError,
     SolverConfig,
     boundedness_envelope,
     classify_equilibria,
@@ -195,6 +197,11 @@ class TestBoundednessEnvelope:
         for eta in (0.0, high_complexity.d, 2.0):
             with pytest.raises(ValueError):
                 boundedness_envelope(high_complexity, 0.9, eta, 10.0, 1.0)
+
+    @pytest.mark.parametrize("V0,t,name", [(math.nan, 3.0, "V0"), (10.0, math.nan, "t")], ids=["V0", "t"])
+    def test_nan_rejected(self, high_complexity, V0, t, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be >= 0, got nan"):
+            boundedness_envelope(high_complexity, 0.9, 0.5, V0, t)
 
     def test_dominates_simulated_trajectories(
         self, high_complexity, mid_complexity, low_complexity
