@@ -43,6 +43,11 @@ __all__ = [
 # |modulus - 1| within this counts as sitting on the unit circle.
 _UNIT_BAND = 1e-12
 
+# Block length of iterate_orbit's loop and the lag of its repeat check: at
+# the end of each block the last row is compared, bit for bit, with the row
+# this many iterations before it.
+_REPEAT_LAG = 64
+
 
 class OrbitEscapeError(RuntimeError):
     """The map produced a non-finite or out-of-bound state."""
@@ -196,8 +201,10 @@ def iterate_orbit(p: ModelParams, cfg: DiscreteConfig, x0) -> DiscreteOrbit:
 
     An iterate escapes when it is non-finite or either coordinate exceeds
     ESCAPE_BOUND in magnitude; the comparison is written so that NaN fails it.
-    Raises ValueError, before allocating the orbit, when its iterates times
-    state size exceed MAX_GRID_VALUES.
+    An orbit that repeats at lag _REPEAT_LAG is copied forward with the same
+    bits instead of being iterated further.  Raises ValueError, before
+    allocating the orbit, when its iterates times state size exceed
+    MAX_GRID_VALUES.
     """
     if not (cfg.iterations + 1) * 2 <= MAX_GRID_VALUES:
         raise ValueError(
@@ -206,17 +213,43 @@ def iterate_orbit(p: ModelParams, cfg: DiscreteConfig, x0) -> DiscreteOrbit:
         )
     gain = map_gain(cfg.s, cfg.m)
     rates = _field(p)
-    states = np.empty((cfg.iterations + 1, 2))
+    last = cfg.iterations
+    states = np.empty((last + 1, 2))
     states[0] = np.asarray(x0, dtype=float)
     flat = memoryview(states.reshape(-1))
+    # Compare bits, not floats: -0.0 == 0.0 is True although the bits differ.
+    bits = memoryview(states.view(np.int64).reshape(-1))
     x, y = float(states[0, 0]), float(states[0, 1])
-    for n in range(1, cfg.iterations + 1):
-        x, y = _map_step(rates, gain, x, y)
-        if not (abs(x) <= ESCAPE_BOUND and abs(y) <= ESCAPE_BOUND):
-            return DiscreteOrbit(states=states[:n].copy(), config=cfg, escaped=True)
-        flat[2 * n] = x
-        flat[2 * n + 1] = y
+    for start in range(0, last, _REPEAT_LAG):
+        stop = min(start + _REPEAT_LAG, last)
+        for n in range(start + 1, stop + 1):
+            x, y = _map_step(rates, gain, x, y)
+            if not (abs(x) <= ESCAPE_BOUND and abs(y) <= ESCAPE_BOUND):
+                return DiscreteOrbit(states=states[:n].copy(), config=cfg, escaped=True)
+            flat[2 * n] = x
+            flat[2 * n + 1] = y
+        i, j = 2 * stop, 2 * start
+        if stop < last and bits[i] == bits[j] and bits[i + 1] == bits[j + 1]:
+            _copy_forward(states, stop)
+            break
     return DiscreteOrbit(states=states, config=cfg, escaped=False)
+
+
+def _copy_forward(states: np.ndarray, filled: int) -> None:
+    """Fill the rows of states past row filled, which repeats row
+    filled - _REPEAT_LAG bit for bit.
+
+    The map is a pure function of the float pair, so from row
+    filled - _REPEAT_LAG on the orbit has a period dividing _REPEAT_LAG, and
+    each row equals the one any multiple of _REPEAT_LAG before it.  Every
+    copy doubles the stretch it copies and reads only rows already written.
+    """
+    lag = _REPEAT_LAG
+    while filled + 1 < len(states):
+        count = min(lag, len(states) - filled - 1)
+        states[filled + 1 : filled + 1 + count] = states[filled + 1 - lag : filled + 1 - lag + count]
+        filled += count
+        lag *= 2
 
 
 def _gain_constants(p: ModelParams):

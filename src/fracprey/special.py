@@ -120,10 +120,12 @@ def mittag_leffler(m: float, z: float) -> float:
     contour rule (quad): absolute error about 1e-15 for every x, checked
     against _TOL by the step-2h rule.  A positive argument goes to the power
     series, which raises MittagLefflerError where it cannot reach _TOL.  A
-    NaN argument raises ValueError, except at m = 1, where exp returns NaN.
+    NaN argument raises ValueError.
     """
     _check_order(m)
     if m == 1.0:
+        if math.isnan(z):
+            raise ValueError(f"z must not be NaN, got {z!r}")
         return math.exp(z)
     if z == 0.0:
         return 1.0

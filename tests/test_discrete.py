@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracprey import (
     DiscreteConfig,
@@ -22,7 +24,10 @@ from fracprey import (
     thresholds,
 )
 from fracprey.discrete import ESCAPE_BOUND
+from fracprey.model import _field
 from fracprey.pece import MAX_GRID_VALUES
+
+from conftest import BASE
 
 REFERENCE_STEP_TABLE = {
     # m: (s2, s3) at c=0.86 and (s4, s5) at c=0.45
@@ -257,6 +262,131 @@ class TestKernelOracle:
             step_map(mid_complexity, 0.5, 0.95, (1e300, 1e300))
         out = step_map(mid_complexity, 0.5, 0.95, (0.0, 10.0 * ESCAPE_BOUND))
         assert np.all(np.isfinite(out)) and abs(out[1]) > ESCAPE_BOUND
+
+
+# iterate_orbit runs in blocks of this many iterations and, at each block
+# end, compares the last row with the row this many iterations before it.
+LAG = 64
+
+
+def plain_orbit(p, cfg, x0):
+    """The orbit stepped to its last row, with no repeat check."""
+    gain = map_gain(cfg.s, cfg.m)
+    rates = _field(p)
+    states = np.empty((cfg.iterations + 1, 2))
+    states[0] = np.asarray(x0, dtype=float)
+    x, y = float(states[0, 0]), float(states[0, 1])
+    for n in range(1, cfg.iterations + 1):
+        dx, dy = rates(x, y)
+        x, y = x + gain * dx, y + gain * dy
+        if not (abs(x) <= ESCAPE_BOUND and abs(y) <= ESCAPE_BOUND):
+            return states[:n].copy(), True
+        states[n] = x, y
+    return states, False
+
+
+def first_lag_repeat(states):
+    """First block end short of the last row whose bits equal the row LAG
+    before it, or None: where iterate_orbit stops stepping."""
+    bits = states.view(np.int64)
+    for n in range(LAG, len(states) - 1, LAG):
+        if np.array_equal(bits[n], bits[n - LAG]):
+            return n
+    return None
+
+
+def tail_period(states):
+    """Least q with the last row's bits equal to those q rows before it."""
+    bits = states.view(np.int64)
+    return next(q for q in range(1, LAG + 1) if np.array_equal(bits[-1], bits[-1 - q]))
+
+
+def assert_bit_parity(p, cfg, x0):
+    """iterate_orbit equals the plain orbit bit for bit; returns the latter."""
+    orbit = iterate_orbit(p, cfg, x0)
+    states, escaped = plain_orbit(p, cfg, x0)
+    assert orbit.escaped == escaped
+    assert orbit.states.shape == states.shape
+    assert np.array_equal(orbit.states.view(np.int64), states.view(np.int64))
+    return states
+
+
+def gain_r_step(gain_r, m):
+    """Step size at which the predator-free map is the logistic map with
+    parameter 1 + gain_r: period 2 from gain_r = 2 (s = s2), period 4 from
+    gain_r = sqrt(6)."""
+    return inverse_map_gain(gain_r / BASE["r"], m)
+
+
+class TestFastForward:
+    """Orbits that repeat are copied forward with the bits of the plain loop."""
+
+    @pytest.mark.parametrize(
+        "c, s, m, x0, iterations, transient, found, period",
+        [
+            pytest.param(0.45, 0.2, 0.9, (0.0, 0.0), 1000, 0, 64, 1, id="origin"),
+            pytest.param(0.86, gain_r_step(2.2, 0.95), 0.95, (898.0, 0.0), 1000, 0, 64, 1,
+                         id="capacity"),
+            pytest.param(0.86, gain_r_step(2.2, 0.95), 0.95, (300.0, 0.0), 1000, 0, 128, 2,
+                         id="two_cycle"),
+            pytest.param(0.86, gain_r_step(2.47, 0.95), 0.95, (300.0, 0.0), 1000, 0, 320, 4,
+                         id="four_cycle"),
+            pytest.param(0.86, gain_r_step(2.3, 0.95), 0.95, (10.0, 5.0), 6000, 5000, 4864, 2,
+                         id="two_cycle_in_transient"),
+            pytest.param(0.86, gain_r_step(2.47, 1.0), 1.0, (10.0, 5.0), 4000, 3600, 3584, 4,
+                         id="four_cycle_in_transient"),
+        ],
+    )
+    def test_cycles(self, c, s, m, x0, iterations, transient, found, period):
+        p = ModelParams(c=c, **BASE)
+        cfg = DiscreteConfig(s=s, m=m, iterations=iterations, transient=transient)
+        states = assert_bit_parity(p, cfg, x0)
+        assert first_lag_repeat(states) == found
+        assert tail_period(states) == period
+
+    def test_quasi_periodic_orbit_never_repeats(self, mid_complexity):
+        # past s4 the orbit winds around the attracting circle
+        s4 = step_thresholds(mid_complexity, 0.95).s4
+        cfg = DiscreteConfig(s=2.0 * s4, m=0.95, iterations=5000)
+        states = assert_bit_parity(mid_complexity, cfg, (10.0, 5.0))
+        assert len(states) == 5001 and first_lag_repeat(states) is None
+
+    def test_escape(self, mid_complexity):
+        cfg = DiscreteConfig(s=2.0, m=1.0, iterations=500)
+        states = assert_bit_parity(mid_complexity, cfg, (10.0, 5.0))
+        assert len(states) < 501
+
+    @pytest.mark.parametrize("iterations", [63, 64, 65, 128, 129])
+    def test_block_edges(self, high_complexity, iterations):
+        # a start on the float two-cycle repeats at the first block end
+        s = gain_r_step(2.2, 0.95)
+        cfg = DiscreteConfig(s=s, m=0.95, iterations=iterations)
+        lead_in = replace(cfg, iterations=200)
+        on_cycle = tuple(plain_orbit(high_complexity, lead_in, (300.0, 0.0))[0][-1])
+        states = assert_bit_parity(high_complexity, cfg, on_cycle)
+        assert first_lag_repeat(states) == (LAG if iterations > LAG else None)
+        assert tail_period(states[: LAG + 1]) == 2
+
+    @pytest.mark.parametrize("x0", [(898.0, -0.0), (-0.0, 0.0), (300.0, -0.0)])
+    def test_negative_zero_start(self, high_complexity, x0):
+        cfg = DiscreteConfig(s=gain_r_step(2.2, 0.95), m=0.95, iterations=300)
+        states = assert_bit_parity(high_complexity, cfg, x0)
+        assert np.array_equal(np.signbit(states[0]), np.signbit(x0))
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        c=st.floats(0.0, 0.99),
+        m=st.floats(0.3, 1.0),
+        s_over_s2=st.floats(0.3, 1.6),
+        iterations=st.integers(1, 3000),
+        prey=st.floats(5.0, 400.0),
+        # the bench's start box, or its predator-free edge, where cycles close
+        predator=st.one_of(st.just(0.0), st.floats(1.0, 120.0)),
+    )
+    def test_matches_plain_loop(self, c, m, s_over_s2, iterations, prey, predator):
+        p = ModelParams(c=c, **BASE)
+        s = s_over_s2 * step_thresholds(p, m).s2
+        assert_bit_parity(p, DiscreteConfig(s=s, m=m, iterations=iterations), (prey, predator))
 
 
 class TestStepThresholds:

@@ -135,8 +135,9 @@ class TestMittagLeffler:
 
     def test_nan_argument_rejected(self):
         # a NaN fails both z == 0 and z < 0; the series would run to its term
-        # cap and then report a tolerance failure
-        for m in (0.5, 0.9):
+        # cap and then report a tolerance failure, and exp at m = 1 would
+        # return it silently
+        for m in (0.5, 0.9, 1.0):
             with pytest.raises(ValueError, match="z must not be NaN"):
                 mittag_leffler(m, math.nan)
 
