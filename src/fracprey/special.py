@@ -13,8 +13,10 @@ over a contour C around the branch cut (-inf, 0].  For 0 < m < 1 the
 integrand has no pole on the principal sheet, so the trapezoid rule on the
 parabola s(u) = mu (1 + iu)^2 converges geometrically (Weideman & Trefethen,
 Math. Comp. 76, 2007; Garrappa, SIAM J. Numer. Anal. 53, 2015) and one fixed
-set of 29 nodes reaches about 1e-15 absolute for every m and x.  The power
-series serves only z > 0.
+set of 29 nodes reaches about 1e-15 absolute for every m and x.  The powers
+s_k^m at the nodes depend only on m: they are computed once per order and
+reused while consecutive calls keep that order.  The power series serves
+only z > 0.
 """
 
 import math
@@ -50,6 +52,11 @@ def _contour_rule():
 
 
 _LOG_S, _WEIGHTS, _COARSE_WEIGHTS = _contour_rule()
+
+# (m, s_k^m) of the last order quad saw.  A new order rebinds the whole
+# tuple, so a concurrent caller never pairs one order with another's powers;
+# the array is never written after it is published.
+_POWERS = (None, None)
 
 
 class MittagLefflerError(ArithmeticError):
@@ -97,12 +104,17 @@ def quad(m: float, x: float, tol: float) -> float:
     """E_m(-x) for x > 0, 0 < m < 1, by the trapezoid rule on the parabolic
     contour.
 
-    The even nodes form the rule of step 2h on the same contour; when the two
-    rules differ by more than tol the result is not trusted and
-    MittagLefflerError is raised.
+    The powers s_k^m are computed once per order and reused while
+    consecutive calls keep that order.  The even nodes form the rule of step
+    2h on the same contour; when the two rules differ by more than tol the
+    result is not trusted and MittagLefflerError is raised.
     """
-    ratio = np.exp(m * _LOG_S)
-    ratio /= ratio + x
+    global _POWERS
+    order, powers = _POWERS
+    if order != m:
+        powers = np.exp(m * _LOG_S)
+        _POWERS = (m, powers)
+    ratio = powers / (powers + x)
     fine = (_WEIGHTS @ ratio).real
     coarse = (_COARSE_WEIGHTS @ ratio[::2]).real
     if not abs(fine - coarse) <= tol:

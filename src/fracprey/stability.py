@@ -235,9 +235,9 @@ def boundedness_envelope(p: ModelParams, m: float, eta: float, V0: float, t: flo
     """
     if not 0.0 < eta < p.d:
         raise ParameterError(f"eta must satisfy 0 < eta < d={p.d}, got {eta!r}")
-    # "not >=" also rejects NaN
-    if not V0 >= 0.0:
-        raise ParameterError(f"V0 must be >= 0, got {V0!r}")
+    # the negated chain also rejects NaN; an infinite V0 would give inf * 0 = NaN at t = inf
+    if not 0.0 <= V0 < math.inf:
+        raise ParameterError(f"V0 must be finite and >= 0, got {V0!r}")
     if not t >= 0.0:
         raise ParameterError(f"t must be >= 0, got {t!r}")
     level = p.K * (p.r + eta) ** 2 / (4.0 * p.r) / eta

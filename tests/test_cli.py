@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -471,6 +473,51 @@ REJECTED = {
     "K_inf": (["equilibria", "--c", "0.45", "--K", "inf"], "K must be > 0"),
     "r_inf": (["stability", "--c", "0.45", "--m", "0.9", "--r", "inf"], "r must be > 0"),
 }
+
+
+class TestWriteCsv:
+    """write_csv writes the bytes of the per-cell formatter on either path."""
+
+    COLUMNS = ("t", "x", "y")
+    FLOATS = [(math.nan, math.inf, -math.inf), (-0.0, 5e-324, 1e300), (1 / 3, 0.0, -2.5e-7)]
+
+    @staticmethod
+    def per_cell(columns, rows):
+        lines = [",".join(columns)] + [",".join(fracprey.cli._format_cell(v) for v in row) for row in rows]
+        return "".join(line + "\n" for line in lines).encode("utf-8")
+
+    def write(self, tmp_path, monkeypatch, columns, rows):
+        """Bytes of write_csv and the number of cells it formatted one by one."""
+        calls = []
+        original = fracprey.cli._format_cell
+        monkeypatch.setattr(fracprey.cli, "_format_cell", lambda v: calls.append(v) or original(v))
+        path = tmp_path / "out.csv"
+        fracprey.cli.write_csv(path, columns, rows)
+        return path.read_bytes(), len(calls)
+
+    def test_all_float_rows_take_the_template(self, tmp_path, monkeypatch):
+        for rows in (self.FLOATS, [list(row) for row in self.FLOATS]):
+            data, formatted = self.write(tmp_path, monkeypatch, self.COLUMNS, rows)
+            assert formatted == 0
+            assert data == self.per_cell(self.COLUMNS, rows)
+        assert data.splitlines()[1:3] == [b"nan,inf,-inf", b"-0,4.94065645841247e-324,1e+300"]
+
+    @pytest.mark.parametrize(
+        "odd", [np.float64(0.1), 3, True, False, None, "name"],
+        ids=["float64", "int", "true", "false", "none", "str"],
+    )
+    def test_any_other_cell_takes_the_per_cell_path(self, tmp_path, monkeypatch, odd):
+        rows = [*self.FLOATS, (1.5, odd, 2.0)]
+        data, formatted = self.write(tmp_path, monkeypatch, self.COLUMNS, rows)
+        assert formatted == 3 * len(rows)
+        assert data == self.per_cell(self.COLUMNS, rows)
+
+    @pytest.mark.parametrize("rows", [[], [(1.0, 2.0)], [(1.0, 2.0, 3.0, 4.0)]],
+                             ids=["empty", "short_row", "long_row"])
+    def test_empty_or_ragged_rows_take_the_per_cell_path(self, tmp_path, monkeypatch, rows):
+        data, formatted = self.write(tmp_path, monkeypatch, self.COLUMNS, rows)
+        assert formatted == sum(len(row) for row in rows)
+        assert data == self.per_cell(self.COLUMNS, rows)
 
 
 class TestRejectedInputs:

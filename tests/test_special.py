@@ -1,6 +1,9 @@
 import math
+import sys
+import threading
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy.special import erfc
 
@@ -38,7 +41,7 @@ def series_oracle(m, z):
 def integral_oracle(m, x, dps=40):
     """Independent high-precision tanh-sinh quadrature of the spectral
     integral for E_m(-x) (different quadrature engine and precision from the
-    implementation's float64 adaptive rule)."""
+    implementation's fixed 29-node contour rule in float64)."""
     with mp.workdps(dps):
         mm = mp.mpf(m)
         xx = mp.mpf(x)
@@ -168,3 +171,67 @@ class TestContourRule:
         for m, x in ((0.01, 1e8), (0.5, 1e8), (0.9999, 1e8), (0.3, 1e12)):
             assert mittag_leffler(m, -x) == pytest.approx(1.0 / (x * math.gamma(1.0 - m)), rel=1e-7)
         assert mittag_leffler(0.5, -math.inf) == 0.0
+
+
+def uncached_quad(m, x):
+    """The contour rule of special.quad with the powers s_k^m recomputed."""
+    ratio = np.exp(m * special._LOG_S)
+    ratio /= ratio + x
+    return float((special._WEIGHTS @ ratio).real)
+
+
+def assert_powers_match_order():
+    order, powers = special._POWERS
+    assert powers.tobytes() == np.exp(order * special._LOG_S).tobytes()
+
+
+class TestPowerCache:
+    """quad computes s_k^m once per order and keeps the bits of the formula."""
+
+    ARGS = [*np.logspace(-8, 6, 57).tolist(), math.inf]
+
+    def test_same_bits_as_uncached_formula(self):
+        orders = (0.3, 0.3, 0.9, 0.3, 0.55, 0.55, 0.9, 0.9999, 0.3, 0.01)
+        for m in orders:
+            for x in self.ARGS:
+                got = special.quad(m, x, special._TOL)
+                assert got.hex() == uncached_quad(m, x).hex(), (m, x)
+            assert special._POWERS[0] == m
+            assert_powers_match_order()
+
+    def test_powers_intact_after_error(self):
+        special.quad(0.7, 3.0, special._TOL)
+        assert_powers_match_order()
+        with pytest.raises(MittagLefflerError):
+            special.quad(0.9, 5.0, 1e-20)
+        assert special._POWERS[0] == 0.9
+        assert_powers_match_order()
+        assert special.quad(0.9, 5.0, special._TOL).hex() == uncached_quad(0.9, 5.0).hex()
+        assert special.quad(0.7, 3.0, special._TOL).hex() == uncached_quad(0.7, 3.0).hex()
+
+    def test_threads_with_different_orders(self):
+        # Each thread keeps one order, so nearly every call finds another
+        # thread's order cached.  A cache that published its order and its
+        # powers in two steps failed this test in eight runs out of eight.
+        orders, passes = (0.35, 0.6, 0.85), 500
+        expected = {m: [mittag_leffler(m, -x).hex() for x in self.ARGS] for m in orders}
+        wrong = {m: 0 for m in orders}
+        start = threading.Barrier(len(orders))
+
+        def run(m):
+            start.wait()
+            for _ in range(passes):
+                got = [mittag_leffler(m, -x).hex() for x in self.ARGS]
+                wrong[m] += sum(g != e for g, e in zip(got, expected[m]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=run, args=(m,)) for m in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == {m: 0 for m in orders}

@@ -198,10 +198,24 @@ class TestBoundednessEnvelope:
             with pytest.raises(ValueError):
                 boundedness_envelope(high_complexity, 0.9, eta, 10.0, 1.0)
 
-    @pytest.mark.parametrize("V0,t,name", [(math.nan, 3.0, "V0"), (10.0, math.nan, "t")], ids=["V0", "t"])
-    def test_nan_rejected(self, high_complexity, V0, t, name):
-        with pytest.raises(ParameterError, match=f"^{name} must be >= 0, got nan"):
+    @pytest.mark.parametrize(
+        "V0,t,message",
+        [
+            (math.nan, 3.0, "V0 must be finite and >= 0, got nan"),
+            (10.0, math.nan, "t must be >= 0, got nan"),
+            (math.inf, 3.0, "V0 must be finite and >= 0, got inf"),
+            (-math.inf, 3.0, "V0 must be finite and >= 0, got -inf"),
+        ],
+        ids=["V0", "t", "V0_inf", "V0_minus_inf"],
+    )
+    def test_nan_rejected(self, high_complexity, V0, t, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
             boundedness_envelope(high_complexity, 0.9, 0.5, V0, t)
+
+    def test_infinite_time_gives_the_level(self, high_complexity):
+        p = high_complexity
+        level = p.K * (p.r + 0.5) ** 2 / (4.0 * p.r) / 0.5
+        assert boundedness_envelope(p, 0.9, 0.5, 10.0, math.inf) == level
 
     def test_dominates_simulated_trajectories(
         self, high_complexity, mid_complexity, low_complexity
