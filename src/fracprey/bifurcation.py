@@ -9,7 +9,7 @@ import numpy as np
 
 from .discrete import DiscreteConfig, detect_structural_bifurcations, iterate_orbit
 from .model import ModelParams, thresholds
-from .pece import MAX_GRID_VALUES, Trajectory
+from .pece import Trajectory, _check_budget
 from .stability import critical_order
 
 __all__ = [
@@ -77,23 +77,20 @@ def sweep_step_size(
     followed orbit from sitting numerically frozen on an unstable fixed
     point); otherwise every point restarts from x0.  Escaped orbits are
     flagged and the follow state resets to x0.  Raises ValueError, before
-    allocating, when n_points x n_samples x 2 exceeds MAX_GRID_VALUES.
+    allocating, when n_points x n_samples x 2 exceeds pece.MAX_GRID_VALUES.
     """
-    if not 0.0 < s_min < s_max:
-        raise ValueError(f"need 0 < s_min < s_max, got {s_min!r}, {s_max!r}")
-    if not math.isfinite(s_max):
-        raise ValueError(f"s_max must be finite, got {s_max!r}")
+    if not 0.0 < s_min < s_max < math.inf:
+        raise ValueError(f"need 0 < s_min < s_max < inf, got {s_min!r}, {s_max!r}")
     if not math.isfinite(kick):
         raise ValueError(f"kick must be finite, got {kick!r}")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    if not n_points * n_samples * 2 <= MAX_GRID_VALUES:
-        raise ValueError(
-            f"sweep of {n_points} points x {n_samples} samples x 2 state components exceeds "
-            f"the budget of {MAX_GRID_VALUES} values; lower n_points or n_samples"
-        )
+    _check_budget(
+        n_points * n_samples * 2,
+        f"sweep of {n_points} points x {n_samples} samples x 2 state components",
+    )
 
     s_values = np.linspace(s_min, s_max, n_points)
     start = np.asarray(x0, dtype=float)
@@ -132,8 +129,6 @@ def cluster_count(points: np.ndarray) -> int:
     or inf rows do not widen or void it.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 0:
-        return 0
     scale = max(float(np.max(np.abs(pts), where=np.isfinite(pts), initial=0.0)), 1e-30)
     radius = _MERGE_RADIUS_REL * scale
     # The first open row founds a center and closes itself and every later

@@ -7,9 +7,12 @@ is CSV (UTF-8, LF, '.' decimal separator, 15 significant digits).
 
 Two tables drive the layer: _OPTIONS gives each option key its parser,
 MODES gives each mode its runner and its required and optional keys.
-Defaults and range checks are the library's own: a runner passes on only
-the options a run set, and a ValueError the library raises ends the run
-like a malformed config does.
+Defaults are the library's own: a runner passes on only the options a run
+set.  Besides the order m, checked as soon as the config is read, the CLI
+checks only the values it builds itself: the x0 bound and the region grid's
+count, budget and finite ends.  Every other range check is the library's,
+and a ValueError the library raises ends the run like a malformed config
+does.
 
 Exit codes: 0 success, 2 config/domain error, 3 numerical escape or a
 `reproduce` summary row outside its tolerance, 4 unwritable output path.
@@ -34,7 +37,7 @@ from .discrete import (
     step_thresholds,
 )
 from .model import ModelParams, equilibria, interior_point, jacobian, thresholds, vector_field
-from .pece import ESCAPE_BOUND, MAX_GRID_VALUES, SolverConfig, SolverDivergenceError, pece_solve
+from .pece import ESCAPE_BOUND, SolverConfig, SolverDivergenceError, _check_budget, pece_solve
 from .special import _check_order
 from .stability import classify_equilibria, critical_order, global_stability_check
 
@@ -111,8 +114,12 @@ RunConfig = make_dataclass(
 RunConfig.__doc__ = "One CLI run: the model parameters, the mode and every option key."
 
 
+# the one number format of every CSV cell: 15 significant digits
+_NUMBER_FORMAT = "%.15g"
+
+
 def format_number(value: float) -> str:
-    return f"{float(value):.15g}"
+    return _NUMBER_FORMAT % float(value)
 
 
 def _format_cell(value) -> str:
@@ -128,13 +135,13 @@ def _format_cell(value) -> str:
 def write_csv(path, columns, rows) -> None:
     """Write columns and a list of rows as CSV.  When every row has one cell
     per column and every cell is exactly a float, the rows go through one
-    "%.15g" template, which gives the bytes of _format_cell; any other file
-    is formatted cell by cell."""
+    _NUMBER_FORMAT template, which gives the bytes of _format_cell; any other
+    file is formatted cell by cell."""
     width = len(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         if {len(row) for row in rows} == {width} and {type(v) for row in rows for v in row} == {float}:
-            template = ",".join(["%.15g"] * width) + "\n"
+            template = ",".join([_NUMBER_FORMAT] * width) + "\n"
             fh.writelines(template % tuple(row) for row in rows)
         else:
             for row in rows:
@@ -360,11 +367,9 @@ def _run_sweep(cfg: RunConfig) -> int:
 
 
 def _run_region(cfg: RunConfig) -> int:
-    if not cfg.c_points <= MAX_GRID_VALUES:
-        raise ValueError(
-            f"region grid of {cfg.c_points} points exceeds the budget of "
-            f"{MAX_GRID_VALUES} values; lower c_points"
-        )
+    if cfg.c_points < 1:
+        raise ValueError(f"c_points must be >= 1, got {cfg.c_points!r}")
+    _check_budget(cfg.c_points, f"region grid of {cfg.c_points} points")
     for key in ("c_min", "c_max"):
         if not math.isfinite(getattr(cfg, key)):
             raise ValueError(f"region grid end {key} must be finite, got {getattr(cfg, key)!r}")

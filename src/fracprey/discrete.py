@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import ModelParams, _field, equilibria, interior_point, jacobian, thresholds
-from .pece import ESCAPE_BOUND, MAX_GRID_VALUES
+from .pece import ESCAPE_BOUND, _check_budget
 from .special import _check_order, gamma_fn
 
 __all__ = [
@@ -66,11 +66,17 @@ def map_gain(s: float, m: float) -> float:
 
 
 def inverse_map_gain(gain: float, m: float) -> float:
-    """Step size s with map_gain(s, m) == gain."""
+    """Step size s with map_gain(s, m) == gain; ValueError when s is past the
+    float range, as it gets at small m for a gain above 1."""
     if not gain > 0:
         raise ValueError(f"map gain must be > 0, got {gain!r}")
     _check_order(m)
-    return (gain * gamma_fn(m + 1.0)) ** (1.0 / m)
+    try:
+        return (gain * gamma_fn(m + 1.0)) ** (1.0 / m)
+    except OverflowError:
+        raise ValueError(
+            f"step size of map gain {gain:.6g} at order m={m!r} exceeds the float range"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -81,10 +87,8 @@ class DiscreteConfig:
     transient: int = 0
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError(f"step size must be > 0, got {self.s!r}")
-        if not math.isfinite(self.s):
-            raise ValueError(f"step size must be finite, got {self.s!r}")
+        if not 0 < self.s < math.inf:
+            raise ValueError(f"step size must satisfy 0 < s < inf, got {self.s!r}")
         _check_order(self.m)
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
@@ -204,13 +208,9 @@ def iterate_orbit(p: ModelParams, cfg: DiscreteConfig, x0) -> DiscreteOrbit:
     An orbit that repeats at lag _REPEAT_LAG is copied forward with the same
     bits instead of being iterated further.  Raises ValueError, before
     allocating the orbit, when its iterates times state size exceed
-    MAX_GRID_VALUES.
+    pece.MAX_GRID_VALUES.
     """
-    if not (cfg.iterations + 1) * 2 <= MAX_GRID_VALUES:
-        raise ValueError(
-            f"orbit of {cfg.iterations} iterations x 2 state components exceeds the "
-            f"budget of {MAX_GRID_VALUES} values; lower iterations"
-        )
+    _check_budget((cfg.iterations + 1) * 2, f"orbit of {cfg.iterations} iterations x 2 state components")
     gain = map_gain(cfg.s, cfg.m)
     rates = _field(p)
     last = cfg.iterations
@@ -268,7 +268,6 @@ def _gain_constants(p: ModelParams):
 
 def step_thresholds(p: ModelParams, m: float) -> StepThresholds:
     """Evaluate the critical step sizes s1..s5 and the constants G, H."""
-    _check_order(m)
     reasons = {}
     s1 = inverse_map_gain(2.0 / p.d, m)
     s2 = inverse_map_gain(2.0 / p.r, m)
@@ -379,7 +378,7 @@ def hopf_normal_form(p: ModelParams, m: float) -> NormalFormData:
             f"unit-modulus set needs G < 2 sqrt(H), got G={G:.6g}, 2 sqrt(H)={2*math.sqrt(H):.6g}"
         )
 
-    s4 = inverse_map_gain(G / H, m)
+    s4 = step_thresholds(p, m).s4
     S1 = map_gain(s4, m)
     a = p.attack
     margin = p.theta - p.h * p.d
@@ -455,38 +454,29 @@ def detect_structural_bifurcations(p: ModelParams, m: float) -> list:
     c = c1 (eigenvalue through +1, any step size) and period-doubles at
     (c = c1, s = s5) (eigenvalue through -1); the interior point sheds an
     invariant circle at s = s4 when the unit-modulus set condition holds.
-    Every event is reported with the residual of its defining expression,
-    which must vanish to 1e-8.
+    Every event is reported with the residual of its defining Jury entry
+    (classify_fixed_points), which must vanish to 1e-8.
     """
-    _check_order(m)
-    events = []
+    st = step_thresholds(p, m)
     th = thresholds(p)
-
+    # (kind, fixed point, parameters, event step, tested step, report, Jury entry)
+    cases = []
     if th.c1 is not None and 0.0 < th.c1 < 1.0:
         at_c1 = replace(p, c=th.c1)
         # at c = c1 the interior constants collapse to G = r, so the flip
         # step coincides with the prey threshold s2
-        s_flip = inverse_map_gain(2.0 / p.r, m)
-        res_tc = classify_fixed_points(at_c1, 0.5 * s_flip, m)[1].jury[1]
-        res_flip = classify_fixed_points(at_c1, s_flip, m)[1].jury[2]
-        for kind, s_loc, res in (
-            ("transcritical", None, abs(res_tc)),
-            ("flip", s_flip, abs(res_flip)),
-        ):
-            if res >= 1e-8:
-                raise RuntimeError(f"{kind} residual {res:g} fails the 1e-8 verification")
-            events.append(
-                BifurcationEvent(kind=kind, equilibrium="predator_free", c=th.c1, s=s_loc, residual=res)
-            )
-
-    st = step_thresholds(p, m)
+        cases.append(("transcritical", "predator_free", at_c1, None, 0.5 * st.s2, 1, 1))
+        cases.append(("flip", "predator_free", at_c1, st.s2, st.s2, 1, 2))
     if st.s4 is not None and st.G < 2.0 * math.sqrt(st.H):
-        S = map_gain(st.s4, m)
-        det = 1.0 - S * st.G + S * S * st.H
-        res = abs(1.0 - det)
+        # entry 0 is 1 - det at the interior point
+        cases.append(("hopf", "interior", p, st.s4, st.s4, 2, 0))
+
+    events = []
+    for kind, equilibrium, q, s_event, s_test, k, j in cases:
+        res = abs(classify_fixed_points(q, s_test, m)[k].jury[j])
         if res >= 1e-8:
-            raise RuntimeError(f"hopf residual {res:g} fails the 1e-8 verification")
+            raise RuntimeError(f"{kind} residual {res:g} fails the 1e-8 verification")
         events.append(
-            BifurcationEvent(kind="hopf", equilibrium="interior", c=p.c, s=st.s4, residual=res)
+            BifurcationEvent(kind=kind, equilibrium=equilibrium, c=q.c, s=s_event, residual=res)
         )
     return events

@@ -69,6 +69,14 @@ _BLOCK = 64
 _SERIES_TERMS = 60
 
 
+def _check_budget(values, what: str) -> None:
+    """The package's one size budget: raise ValueError, before anything is
+    allocated, when values exceeds MAX_GRID_VALUES.  what names the sizes
+    whose product values is; "not <=" also rejects NaN."""
+    if not values <= MAX_GRID_VALUES:
+        raise ValueError(f"{what} exceeds the budget of {MAX_GRID_VALUES} values")
+
+
 class SolverDivergenceError(RuntimeError):
     """A state component exceeded ESCAPE_BOUND or went non-finite."""
 
@@ -95,8 +103,8 @@ class SolverConfig:
     corrector_sweeps: int = 1
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step!r}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must satisfy 0 < step < inf, got {self.step!r}")
         if not self.horizon >= self.step:
             raise ValueError(
                 f"horizon must be >= step, got horizon={self.horizon!r} step={self.step!r}"
@@ -212,11 +220,10 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     u0 = np.atleast_1d(np.asarray(x0, dtype=float))
     steps = cfg.horizon / h + 1e-9
     sweeps = cfg.corrector_sweeps
-    if not steps * u0.size * sweeps <= MAX_GRID_VALUES:
-        raise ValueError(
-            f"grid of {steps:.6g} steps x {u0.size} state components x {sweeps} corrector sweeps "
-            f"exceeds the solver budget of {MAX_GRID_VALUES} values"
-        )
+    _check_budget(
+        steps * u0.size * sweeps,
+        f"grid of {steps:.6g} steps x {u0.size} state components x {sweeps} corrector sweeps",
+    )
     n_steps = int(steps)
 
     weights = history_weights(m, n_steps)

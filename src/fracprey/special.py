@@ -16,7 +16,7 @@ Math. Comp. 76, 2007; Garrappa, SIAM J. Numer. Anal. 53, 2015) and one fixed
 set of 29 nodes reaches about 1e-15 absolute for every m and x.  The powers
 s_k^m at the nodes depend only on m: they are computed once per order and
 reused while consecutive calls keep that order.  The power series serves
-only z > 0.
+only z > 0.  Both paths are held to the absolute tolerance _TOL.
 """
 
 import math
@@ -76,8 +76,8 @@ def _check_order(m: float) -> None:
         raise ValueError(f"fractional order must satisfy 0 < m <= 1, got {m!r}")
 
 
-def _series(m: float, z: float, tol: float):
-    """Sum z^k / Gamma(m k + 1) directly for z > 0.
+def _series(m: float, z: float):
+    """Sum z^k / Gamma(m k + 1) directly for z > 0, to within _TOL.
 
     Returns None when the peak term exceeds the float64 safety cap.  Terms
     are built in log space so no intermediate power overflows.
@@ -91,22 +91,22 @@ def _series(m: float, z: float, tol: float):
             return None
         t = math.exp(log_t)
         total += t
-        if t < 0.1 * tol and t < prev:
+        if t < 0.1 * _TOL and t < prev:
             # past the peak the terms decay monotonically
             return total
         prev = t
     raise MittagLefflerError(
-        f"series for E_{m}({z}) did not reach tol={tol} within {_MAX_TERMS} terms"
+        f"series for E_{m}({z}) did not reach tol={_TOL} within {_MAX_TERMS} terms"
     )
 
 
-def quad(m: float, x: float, tol: float) -> float:
+def quad(m: float, x: float) -> float:
     """E_m(-x) for x > 0, 0 < m < 1, by the trapezoid rule on the parabolic
     contour.
 
     The powers s_k^m are computed once per order and reused while
     consecutive calls keep that order.  The even nodes form the rule of step
-    2h on the same contour; when the two rules differ by more than tol the
+    2h on the same contour; when the two rules differ by more than _TOL the
     result is not trusted and MittagLefflerError is raised.
     """
     global _POWERS
@@ -117,10 +117,10 @@ def quad(m: float, x: float, tol: float) -> float:
     ratio = powers / (powers + x)
     fine = (_WEIGHTS @ ratio).real
     coarse = (_COARSE_WEIGHTS @ ratio[::2]).real
-    if not abs(fine - coarse) <= tol:
+    if not abs(fine - coarse) <= _TOL:
         raise MittagLefflerError(
             f"contour rule for E_{m}(-{x}) differs from its step-2h rule by "
-            f"{abs(fine - coarse):.3g} > tol={tol}"
+            f"{abs(fine - coarse):.3g} > tol={_TOL}"
         )
     return float(fine)
 
@@ -135,17 +135,15 @@ def mittag_leffler(m: float, z: float) -> float:
     NaN argument raises ValueError.
     """
     _check_order(m)
+    if z < 0.0 and m < 1.0:
+        return quad(m, -z)
+    if math.isnan(z):
+        raise ValueError(f"z must not be NaN, got {z!r}")
     if m == 1.0:
-        if math.isnan(z):
-            raise ValueError(f"z must not be NaN, got {z!r}")
         return math.exp(z)
     if z == 0.0:
         return 1.0
-    if z < 0.0:
-        return quad(m, -z, _TOL)
-    if math.isnan(z):
-        raise ValueError(f"z must not be NaN, got {z!r}")
-    val = _series(m, z, _TOL)
+    val = _series(m, z)
     if val is None:
         raise MittagLefflerError(
             f"E_{m}({z}): positive argument outside the series-safe region"

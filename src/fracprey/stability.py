@@ -175,7 +175,7 @@ def classify_equilibria(p: ModelParams, m: float) -> list:
         StabilityReport(
             equilibrium=e1,
             eigenvalues=(complex(-p.r), complex(growth)),
-            classification=_classify_eigs((-p.r, growth), m) if growth != 0.0 else "nonhyperbolic",
+            classification=_classify_eigs((-p.r, growth), m),
             valid_orders=(0.0, 1.0),
         )
     )

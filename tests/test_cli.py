@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 import fracprey
 import fracprey.cli
-from fracprey import step_thresholds, thresholds
+from fracprey import (
+    DiscreteConfig,
+    SolverConfig,
+    iterate_orbit,
+    pece_solve,
+    step_thresholds,
+    sweep_step_size,
+    thresholds,
+)
 from fracprey.cli import ConfigError, format_number, main, parse_config
 
 BASE_CONFIG = """\
@@ -445,6 +453,7 @@ REJECTED = {
     "m_above_one": (SIMULATE + ["--m", "1.5"], "0 < m <= 1"),
     "step_zero": (SIMULATE + ["--step", "0"], "step"),
     "step_negative": (SIMULATE + ["--step", "-1"], "step"),
+    "step_inf": (SIMULATE + ["--step", "inf", "--horizon", "inf"], "0 < step < inf"),
     "horizon_below_step": (SIMULATE + ["--horizon", "0.01"], "horizon"),
     "corrector_sweeps_zero": (SIMULATE + ["--corrector-sweeps", "0"], "corrector_sweeps"),
     "corrector_sweeps_budget": (SIMULATE + ["--corrector-sweeps", "1000000000"], "budget"),
@@ -456,8 +465,13 @@ REJECTED = {
     "s_min_zero": (SWEEP + ["--s-min", "0"], "s_min"),
     "s_max_below_s_min": (SWEEP + ["--s-max", "0.05"], "s_max"),
     "n_points_one": (SWEEP + ["--n-points", "1"], "n_points"),
-    "c_points_zero": (REGION + ["--c-points", "0"], "c_grid"),
+    "c_points_zero": (REGION + ["--c-points", "0"], "c_points"),
+    "c_points_negative": (REGION + ["--c-points", "-5"], "c_points"),
     "normal_form_m_without_interior": (["normal-form", "--c", "0.86", "--m", "1.5"], "0 < m <= 1"),
+    # below m ~ 9e-4 the step threshold s1 passes the float range
+    "thresholds_m_tiny": (["thresholds", "--c", "0.45", "--m", "0.0005"], "float range"),
+    "normal_form_m_tiny": (["normal-form", "--c", "0.45", "--m", "0.0005"], "float range"),
+    "sweep_m_tiny": (SWEEP + ["--m", "0.0005"], "float range"),
     "x0_infinite": (SIMULATE + ["--x0", "inf,5"], "x0"),
     "x0_nan": (DISCRETE + ["--x0", "nan,5"], "x0"),
     "sweep_grid_budget": (SWEEP + ["--n-points", "10000000000000"], "budget"),
@@ -540,6 +554,21 @@ class TestRejectedInputs:
         with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("error")
             assert main(argv[:1] + PARAM_FLAGS + argv[1:] + ["--output", str(tmp_path / "out.csv")]) == 2
+
+    def test_every_size_budget_has_one_message(self, tmp_path, capsys, mid_complexity):
+        ending = "exceeds the budget of 10000000 values"
+        over_budget = (
+            lambda: pece_solve(lambda u: -u, [1.0, 2.0], 0.9, SolverConfig(step=0.05, horizon=1e9)),
+            lambda: iterate_orbit(mid_complexity, DiscreteConfig(s=0.1, m=0.9, iterations=10**10), (10.0, 5.0)),
+            lambda: sweep_step_size(mid_complexity, 0.95, 0.1, 0.2, 10**13),
+        )
+        for call in over_budget:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value).endswith(ending)
+        argv, _ = REJECTED["region_grid_budget"]
+        assert main(argv[:1] + PARAM_FLAGS + argv[1:] + ["--output", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err.endswith(ending + "\n")
 
     @pytest.mark.parametrize("text", ["2e12, 1", "1, -1e13", "inf 5"])
     def test_config_file_start_checked(self, text):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -85,6 +86,14 @@ class TestGain:
         for gain, m in ((-1.0, 0.5), (-1.0, 0.3), (0.0, 0.5), (1.0, 0.0), (1.0, 1.5)):
             with pytest.raises(ValueError):
                 inverse_map_gain(gain, m)
+
+    def test_inverse_beyond_float_range(self, mid_complexity):
+        # s1 = (2/d Gamma(1 + m))^(1/m) passes 1.8e308 below m ~ 9e-4
+        with pytest.raises(ValueError, match="float range"):
+            inverse_map_gain(2.0 / mid_complexity.d, 5e-4)
+        for analysis in (step_thresholds, detect_structural_bifurcations):
+            with pytest.raises(ValueError, match="float range"):
+                analysis(mid_complexity, 5e-4)
 
 
 class TestStepMap:
@@ -184,8 +193,9 @@ class TestOrbit:
         assert peak < 1_000_000
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DiscreteConfig(s=0.0, m=0.9, iterations=10)
+        for s in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="step size"):
+                DiscreteConfig(s=s, m=0.9, iterations=10)
         with pytest.raises(ValueError):
             DiscreteConfig(s=0.1, m=0.9, iterations=10, transient=10)
 
@@ -572,3 +582,48 @@ class TestStructuralEvents:
     def test_no_hopf_event_without_interior(self, low_complexity):
         kinds = {e.kind for e in detect_structural_bifurcations(low_complexity, 0.95)}
         assert "hopf" not in kinds  # G < 0 at this complexity
+
+    @pytest.mark.parametrize("m", [0.0, 1.5, float("nan")])
+    def test_order_checked(self, high_complexity, mid_complexity, m):
+        for p in (high_complexity, mid_complexity):
+            for analysis in (step_thresholds, detect_structural_bifurcations):
+                with pytest.raises(ValueError, match="0 < m <= 1"):
+                    analysis(p, m)
+
+    @pytest.mark.parametrize("regime", ["high_complexity", "mid_complexity", "low_complexity", "at_c1"])
+    def test_same_events_as_separate_formulas(self, regime, request):
+        if regime == "at_c1":
+            high = request.getfixturevalue("high_complexity")
+            p = replace(high, c=thresholds(high).c1)
+        else:
+            p = request.getfixturevalue(regime)
+        for m in (0.3, 0.6, 0.8, 0.95, 1.0):
+            got = [event_key(e.kind, e.equilibrium, e.c, e.s, e.residual)
+                   for e in detect_structural_bifurcations(p, m)]
+            assert got == reference_events(p, m), m
+
+
+def event_key(kind, equilibrium, c, s, residual):
+    return kind, equilibrium, c.hex(), None if s is None else s.hex(), residual.hex()
+
+
+def reference_events(p, m):
+    """The structural events with each residual written out: the flip step
+    as the inverse gain of 2/r, the transcritical and flip residuals as the
+    predator-free Jury entries, and the Hopf residual as 1 - det of the
+    interior point, det = 1 - S G + S^2 H."""
+    events = []
+    th = thresholds(p)
+    if th.c1 is not None and 0.0 < th.c1 < 1.0:
+        at_c1 = replace(p, c=th.c1)
+        s_flip = inverse_map_gain(2.0 / p.r, m)
+        res_tc = abs(classify_fixed_points(at_c1, 0.5 * s_flip, m)[1].jury[1])
+        res_flip = abs(classify_fixed_points(at_c1, s_flip, m)[1].jury[2])
+        events.append(event_key("transcritical", "predator_free", th.c1, None, res_tc))
+        events.append(event_key("flip", "predator_free", th.c1, s_flip, res_flip))
+    st = step_thresholds(p, m)
+    if st.s4 is not None and st.G < 2.0 * math.sqrt(st.H):
+        S = map_gain(st.s4, m)
+        det = 1.0 - S * st.G + S * S * st.H
+        events.append(event_key("hopf", "interior", p.c, st.s4, abs(1.0 - det)))
+    return events

@@ -365,6 +365,9 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverConfig(step=0.0, horizon=1.0)
+        for step in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="0 < step < inf"):
+                SolverConfig(step=step, horizon=math.inf)
         with pytest.raises(ValueError):
             SolverConfig(step=0.1, horizon=0.05)
         with pytest.raises(ValueError):

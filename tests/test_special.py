@@ -85,6 +85,15 @@ class TestMittagLeffler:
     def test_at_zero(self):
         assert mittag_leffler(0.5, 0.0) == 1.0
 
+    def test_branch_edges(self):
+        # m = 1 is exp on both sides of zero and at both zeros; below it
+        # both zeros give 1, neither going to the contour rule
+        for z in (-3.0, -0.0, 0.0, 0.7):
+            assert mittag_leffler(1.0, z) == math.exp(z)
+        for m in (0.05, 0.5, 0.9, 0.9999):
+            for z in (-0.0, 0.0):
+                assert mittag_leffler(m, z) == 1.0
+
     def test_half_order_reference(self):
         # frozen from the series oracle; cross-checked against the erfc identity
         frozen = 0.42758357615580705
@@ -160,10 +169,12 @@ class TestContourRule:
         exact = integral_oracle(m, x, dps=20 if m < 0.1 else 40)
         assert mittag_leffler(m, -x) == pytest.approx(exact, abs=1e-13)
 
-    def test_step_2h_estimate_enforces_tol(self):
-        # the two rules differ by about 1e-14, far above tol
-        with pytest.raises(MittagLefflerError, match="step-2h"):
-            special.quad(0.9, 5.0, 1e-20)
+    def test_step_2h_estimate_enforces_tol(self, monkeypatch):
+        # the two rules differ by about 1e-14, far above a tolerance of 1e-20
+        with monkeypatch.context() as patch:
+            patch.setattr(special, "_TOL", 1e-20)
+            with pytest.raises(MittagLefflerError, match="step-2h"):
+                special.quad(0.9, 5.0)
         assert mittag_leffler(0.9, -5.0) == pytest.approx(series_oracle(0.9, -5.0), abs=1e-13)
 
     def test_extreme_arguments(self):
@@ -194,20 +205,22 @@ class TestPowerCache:
         orders = (0.3, 0.3, 0.9, 0.3, 0.55, 0.55, 0.9, 0.9999, 0.3, 0.01)
         for m in orders:
             for x in self.ARGS:
-                got = special.quad(m, x, special._TOL)
+                got = special.quad(m, x)
                 assert got.hex() == uncached_quad(m, x).hex(), (m, x)
             assert special._POWERS[0] == m
             assert_powers_match_order()
 
-    def test_powers_intact_after_error(self):
-        special.quad(0.7, 3.0, special._TOL)
+    def test_powers_intact_after_error(self, monkeypatch):
+        special.quad(0.7, 3.0)
         assert_powers_match_order()
-        with pytest.raises(MittagLefflerError):
-            special.quad(0.9, 5.0, 1e-20)
+        with monkeypatch.context() as patch:
+            patch.setattr(special, "_TOL", 1e-20)
+            with pytest.raises(MittagLefflerError):
+                special.quad(0.9, 5.0)
         assert special._POWERS[0] == 0.9
         assert_powers_match_order()
-        assert special.quad(0.9, 5.0, special._TOL).hex() == uncached_quad(0.9, 5.0).hex()
-        assert special.quad(0.7, 3.0, special._TOL).hex() == uncached_quad(0.7, 3.0).hex()
+        assert special.quad(0.9, 5.0).hex() == uncached_quad(0.9, 5.0).hex()
+        assert special.quad(0.7, 3.0).hex() == uncached_quad(0.7, 3.0).hex()
 
     def test_threads_with_different_orders(self):
         # Each thread keeps one order, so nearly every call finds another

@@ -18,6 +18,7 @@ from fracprey import (
     mittag_leffler,
     pece_solve,
     routh_hurwitz_fractional,
+    thresholds,
     vector_field,
 )
 
@@ -147,6 +148,15 @@ class TestClassification:
     def test_boundary_order_is_nonhyperbolic(self, low_complexity):
         m_star = critical_order(low_complexity).value
         report = classify_equilibria(low_complexity, m_star)[2]
+        assert report.classification == "nonhyperbolic"
+
+    @pytest.mark.parametrize("m", [0.5, 0.9, 1.0])
+    def test_predator_free_point_at_c1_is_nonhyperbolic(self, high_complexity, m):
+        # at c = c1 the predator growth rate at (K, 0) rounds to 2.2e-16,
+        # inside the zero band of the argument test
+        at_c1 = replace(high_complexity, c=thresholds(high_complexity).c1)
+        report = classify_equilibria(at_c1, m)[1]
+        assert abs(report.eigenvalues[1]) < 1e-12
         assert report.classification == "nonhyperbolic"
 
     def test_simulation_concordance(self, high_complexity, mid_complexity, low_complexity):
