@@ -33,6 +33,9 @@ _C_MARGIN = 1e-9
 # coordinate magnitude.
 _MERGE_RADIUS_REL = 1e-4
 
+# Candidate-to-row distances cluster_count computes per round (0.5 MB).
+_ROUND_DISTANCES = 1 << 16
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -126,20 +129,43 @@ def cluster_count(points: np.ndarray) -> int:
     center within radius, otherwise founds a new one.  Adequate for telling
     fixed points from period-2/4/8 orbits and from spread-out attractors.
     The radius scales with the largest finite coordinate magnitude, so NaN
-    or inf rows do not widen or void it.
+    or inf rows do not widen or void it; such a row is within radius of
+    nothing, so it founds its own cluster.
+
+    The rule runs in rounds of at most _ROUND_DISTANCES distances.  A round
+    takes the first k = max(1, min(open, _ROUND_DISTANCES // open)) open
+    rows as candidates and measures each against every open row.  In order,
+    a candidate is a center unless an earlier center of the round is within
+    radius of it.  The round then closes every candidate and every row
+    within radius of a center.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     scale = max(float(np.max(np.abs(pts), where=np.isfinite(pts), initial=0.0)), 1e-30)
     radius = _MERGE_RADIUS_REL * scale
-    # The first open row founds a center and closes itself and every later
-    # row within radius.  Written as "not <=" so a NaN distance leaves a row
-    # open, as the point-by-point rule does; slicing off the center's own row
-    # keeps a NaN center from looping.
+    cols = np.ascontiguousarray(pts.T)
     count = 0
-    while pts.shape[0]:
-        rest = pts[1:]
-        pts = rest[~(np.linalg.norm(rest - pts[0], axis=1) <= radius)]
-        count += 1
+    # inf - inf is NaN: the distance is then NaN, and "<=" leaves the row open
+    with np.errstate(invalid="ignore"):
+        while cols.shape[1]:
+            n = cols.shape[1]
+            k = max(1, min(n, _ROUND_DISTANCES // n))
+            # summed column by column, then rooted: the bits of norm(axis=1)
+            dist = np.zeros((k, n))
+            for col in cols:
+                diff = col - col[:k, None]
+                dist += np.square(diff, out=diff)
+            near = np.sqrt(dist, out=dist) <= radius
+            bits = np.packbits(near[:, :k], axis=1, bitorder="little")
+            covered = 0
+            centers = []
+            for i in range(k):
+                if not covered >> i & 1:
+                    centers.append(i)
+                    covered |= int.from_bytes(bits[i].tobytes(), "little")
+            keep = ~near[centers].any(axis=0)
+            keep[:k] = False
+            cols = cols[:, keep]
+            count += len(centers)
     return count
 
 

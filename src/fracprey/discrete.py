@@ -66,17 +66,22 @@ def map_gain(s: float, m: float) -> float:
 
 
 def inverse_map_gain(gain: float, m: float) -> float:
-    """Step size s with map_gain(s, m) == gain; ValueError when s is past the
-    float range, as it gets at small m for a gain above 1."""
+    """Step size s with map_gain(s, m) == gain; ValueError when s passes the
+    float range, as it gets at small m: above it for a gain above 1, below it
+    (underflow to 0) for a gain below 1."""
     if not gain > 0:
         raise ValueError(f"map gain must be > 0, got {gain!r}")
     _check_order(m)
     try:
-        return (gain * gamma_fn(m + 1.0)) ** (1.0 / m)
+        s = (gain * gamma_fn(m + 1.0)) ** (1.0 / m)
     except OverflowError:
+        s = None
+    if s is None or s == 0.0:
+        side = "exceeds" if s is None else "is below"
         raise ValueError(
-            f"step size of map gain {gain:.6g} at order m={m!r} exceeds the float range"
-        ) from None
+            f"step size of map gain {gain:.6g} at order m={m!r} {side} the float range"
+        )
+    return s
 
 
 @dataclass(frozen=True)

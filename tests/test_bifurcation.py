@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -110,31 +112,66 @@ class TestClusterCount:
             return 0
         finite = np.abs(pts[np.isfinite(pts)])
         radius = 1e-4 * max(float(finite.max()) if finite.size else 0.0, 1e-30)
-        centers = []
+        centers = np.empty_like(pts)
+        count = 0
         for row in pts:
-            for center in centers:
-                if np.linalg.norm(row - center) <= radius:
-                    break
-            else:
-                centers.append(row)
-        return len(centers)
+            if not (np.linalg.norm(row - centers[:count], axis=1) <= radius).any():
+                centers[count] = row
+                count += 1
+        return count
 
     def test_matches_greedy_reference_on_random_clouds(self):
+        # n above 256 leaves fewer candidates per round than open rows, so
+        # several rounds run
         rng = np.random.default_rng(20)
-        for _ in range(60):
+        for n in [120] * 60 + [257, 300, 450, 700] * 3:
             k = int(rng.integers(1, 6))
             spread = 10.0 ** rng.uniform(-7.0, 0.0)
             centers = rng.uniform(-5.0, 5.0, size=(k, 2))
-            pts = centers[rng.integers(0, k, size=120)] + spread * rng.standard_normal((120, 2))
+            pts = centers[rng.integers(0, k, size=n)] + spread * rng.standard_normal((n, 2))
             assert cluster_count(pts) == self.greedy_reference(pts)
 
+    def test_spread_out_clouds_found_one_cluster_per_row(self):
+        # rows of a shuffled lattice of spacing 0.01, jittered by far less
+        # than that, are farther apart than the radius (~5e-4)
+        rng = np.random.default_rng(22)
+        lattice = np.stack(np.meshgrid(np.arange(30), np.arange(30)), axis=-1).reshape(-1, 2)
+        for n in (1, 2, 100, 257, 450, 700):
+            pts = 0.01 * rng.permutation(lattice)[:n] - 4.5 + 1e-3 * rng.uniform(size=(n, 2))
+            assert cluster_count(pts) == self.greedy_reference(pts) == n
+
+    def test_two_clusters_one_candidate_per_round(self):
+        # over 65,536 open rows a round holds one candidate
+        rng = np.random.default_rng(23)
+        pts = np.tile([[1.0, 2.0], [3.0, 4.0]], (35_000, 1)) + 1e-7 * rng.standard_normal((70_000, 2))
+        assert cluster_count(pts) == 2
+
+    def test_distance_rounds_bound_memory(self):
+        # 5,000 distinct rows: one round's distances are at most 65,536
+        # floats (0.5 MB), where all at once would be 200 MB
+        pts = np.column_stack(np.divmod(np.arange(5_000.0), 100.0))
+        tracemalloc.start()
+        try:
+            count = cluster_count(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 5_000
+        assert peak < 3_000_000
+
     def test_nan_rows_match_greedy_reference(self):
-        # a NaN row is never within radius of anything, so each one founds
-        # its own cluster; the finite rows keep their two clusters
+        # a NaN or inf row is never within radius of anything (inf - inf is
+        # NaN), so each one founds its own cluster, without a warning; the
+        # finite rows keep their two clusters
         rng = np.random.default_rng(21)
         pts = np.repeat([[1.0, 2.0], [3.0, 4.0]], 20, axis=0) + 1e-7 * rng.standard_normal((40, 2))
         pts[[0, 7, 25]] = np.nan
-        assert cluster_count(pts) == self.greedy_reference(pts) == 2 + 3
+        pts[[3, 30]] = [[np.inf, 2.0], [np.inf, -np.inf]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            count = cluster_count(pts)
+        with np.errstate(invalid="ignore"):
+            assert count == self.greedy_reference(pts) == 2 + 3 + 2
 
 
 class TestStabilityRegion:

@@ -472,6 +472,9 @@ REJECTED = {
     "thresholds_m_tiny": (["thresholds", "--c", "0.45", "--m", "0.0005"], "float range"),
     "normal_form_m_tiny": (["normal-form", "--c", "0.45", "--m", "0.0005"], "float range"),
     "sweep_m_tiny": (SWEEP + ["--m", "0.0005"], "float range"),
+    # at r = 100 and m = 0.004 the step threshold s2 falls below it
+    "thresholds_s2_underflow": (["thresholds", "--c", "0.45", "--m", "0.004", "--r", "100"], "float range"),
+    "sweep_s2_underflow": (SWEEP + ["--m", "0.004", "--r", "100"], "float range"),
     "x0_infinite": (SIMULATE + ["--x0", "inf,5"], "x0"),
     "x0_nan": (DISCRETE + ["--x0", "nan,5"], "x0"),
     "sweep_grid_budget": (SWEEP + ["--n-points", "10000000000000"], "budget"),

@@ -95,6 +95,17 @@ class TestGain:
             with pytest.raises(ValueError, match="float range"):
                 analysis(mid_complexity, 5e-4)
 
+    def test_inverse_below_float_range(self, mid_complexity):
+        # s2 = (2/r Gamma(1 + m))^(1/m) at r = 100 is about 1e-425 at m = 0.004,
+        # which rounds to 0.0: the step that analyses would then reject as
+        # s > 0 is one the user never gave
+        p = replace(mid_complexity, r=100.0)
+        with pytest.raises(ValueError, match="below the float range"):
+            inverse_map_gain(2.0 / p.r, 0.004)
+        for analysis in (step_thresholds, detect_structural_bifurcations):
+            with pytest.raises(ValueError, match="float range"):
+                analysis(p, 0.004)
+
 
 class TestStepMap:
     def test_origin_fixed(self, mid_complexity):
