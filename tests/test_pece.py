@@ -156,6 +156,40 @@ GOLDEN_STATES = {
 }
 
 
+def coupled_field(u):
+    """A three-component nonlinear field: a state size the model loop never takes."""
+    x, y, z = u
+    return np.array([-0.4 * x + y * z, -0.7 * y - x * z + 0.2, -0.9 * z + 0.5 * x * y])
+
+
+# SHA-256 of states.tobytes() through the generic (ndarray) step loop at
+# m = 0.9 and h = 0.05, by (field, corrector sweeps, n_steps): "decay" is
+# -1.3 u from (1,), "coupled" is coupled_field from (1, -0.5, 0.25); the grids
+# are shorter than, around and well past one block of 64 nodes
+GOLDEN_GENERIC_STATES = {
+    ("decay", 1, 1): "6399be621b87512ccffa6d2243609e2b46b5eec6e8a2aa085a1b7d2eae62d7c9",
+    ("decay", 1, 63): "3eeb76b8bba95358eac7a245243ff2722d4f597c11fe173d001cc4c903035492",
+    ("decay", 1, 64): "4a7c82d8190b1092717933d91ccf6854aaaace58cd4842cd8d85c7bb2db7a07a",
+    ("decay", 1, 65): "d68f79d29918e32cffac5380dff8cbf2ca5f5cff9501914faab43fd4fd233a60",
+    ("decay", 1, 3000): "02e83a2cbd2ffad7121dafbfb8fbba78337c3b34ac3e945f314d5e5f60fe9561",
+    ("decay", 3, 1): "6ce624ecce14dc8a4354d7715cb1d847ff00cba3b439c9c7e3de5f07ff1f12c3",
+    ("decay", 3, 63): "8fd86893940dcfe2224f2f6068c3738d34f43c8fce14c906c3019084b67ea76b",
+    ("decay", 3, 64): "86d1e56d0f3b7e064c8aee9a16a3d2a6363c5a6b8490b4a7bb940d6f4c225889",
+    ("decay", 3, 65): "d8742d2d9be3108a42030f27469c3c64bc7d4d9e7040aade4d23753cd01b8d03",
+    ("decay", 3, 3000): "6b6edbf04f962e1a9ff0d65b60e7d39a7e0fa49e67d240099a9ff97a6c4c8fd8",
+    ("coupled", 1, 1): "90129354105a07892c925dbb8747912e10d0a55f15a10cf97a2536958f13563c",
+    ("coupled", 1, 63): "03c98fdfa150a1f7cd3551d607e8304c1b87765e58f774dd4bb60d5527fcc04c",
+    ("coupled", 1, 64): "3e1c0a728b21fd8d9983f474eadf31a87af92b593bdf74a69f72ca06f2c7f97b",
+    ("coupled", 1, 65): "f2dcf3062ef8b0ac4a9b11e2d72b4bf4e52ee372c5709937421815d1cd6131b4",
+    ("coupled", 1, 3000): "f3c15154e3067a889ea89b61f177746e9e101e8f36560b01635065f243a4f104",
+    ("coupled", 3, 1): "5c9bf79f60ca8d47f881204260d545c5625d732e8a14ee54f68b800e2247b868",
+    ("coupled", 3, 63): "069274e785771804db2fc84454e97456f39f520ce1dbf2988a43e83fe035ed2e",
+    ("coupled", 3, 64): "b1b5d099632c1cbdb3bc4340f787ece09761378bbfaa7cf72679b183d2b5d8db",
+    ("coupled", 3, 65): "2ba663cb42ac04b5ec7f779535c244a8122baf61f317af64a490cd0e5f4b6627",
+    ("coupled", 3, 3000): "33af14a250f2c8188c9438a50596feb7d5ffb8eff682ceba4b8628ff15719106",
+}
+
+
 class TestGoldenTrajectories:
     @pytest.mark.parametrize("regime,sweeps,m", sorted(GOLDEN_STATES))
     def test_states_bit_identical(self, request, regime, sweeps, m):
@@ -164,6 +198,14 @@ class TestGoldenTrajectories:
         states = pece_solve(field, [10.0, 5.0], m, cfg).states
         assert states.shape == (3001, 2)
         assert hashlib.sha256(states.tobytes()).hexdigest() == GOLDEN_STATES[regime, sweeps, m]
+
+    @pytest.mark.parametrize("name,sweeps,n_steps", sorted(GOLDEN_GENERIC_STATES))
+    def test_generic_loop_bit_identical(self, name, sweeps, n_steps):
+        rhs, x0 = {"decay": (lambda u: -1.3 * u, [1.0]), "coupled": (coupled_field, [1.0, -0.5, 0.25])}[name]
+        cfg = SolverConfig(step=0.05, horizon=0.05 * n_steps, corrector_sweeps=sweeps)
+        states = pece_solve(rhs, x0, 0.9, cfg).states
+        assert states.shape == (n_steps + 1, len(x0))
+        assert hashlib.sha256(states.tobytes()).hexdigest() == GOLDEN_GENERIC_STATES[name, sweeps, n_steps]
 
 
 class TestFieldEntry:
