@@ -68,16 +68,18 @@ def map_gain(s: float, m: float) -> float:
 def inverse_map_gain(gain: float, m: float) -> float:
     """Step size s with map_gain(s, m) == gain; ValueError when s passes the
     float range, as it gets at small m: above it for a gain above 1, below it
-    (underflow to 0) for a gain below 1."""
+    (underflow to 0) for a gain below 1.  An infinite gain, such as 2/d at a
+    subnormal rate d, is above it at every order."""
     if not gain > 0:
         raise ValueError(f"map gain must be > 0, got {gain!r}")
     _check_order(m)
     try:
         s = (gain * gamma_fn(m + 1.0)) ** (1.0 / m)
     except OverflowError:
-        s = None
-    if s is None or s == 0.0:
-        side = "exceeds" if s is None else "is below"
+        s = math.inf
+    # an infinite gain raises no OverflowError: its power is inf
+    if not 0.0 < s < math.inf:
+        side = "is below" if s == 0.0 else "exceeds"
         raise ValueError(
             f"step size of map gain {gain:.6g} at order m={m!r} {side} the float range"
         )

@@ -16,19 +16,24 @@ all components, one of both kernels and one inverse per kernel.
 
 The step arithmetic runs on Python floats, since numpy calls on a short
 state vector cost more than the arithmetic they do.  Per step numpy does
-only the in-block dot product and the row stores.  The step loop is chosen
+one in-block dot product: the kernel tail of each position in a block is a
+contiguous (2, w) array built once per solve, which BLAS takes without a
+copy, and the dot writes into one (2, state size) buffer reused by every
+step.  A block's states are written in one store.  The step loop is chosen
 once per solve.  The model's vector_field takes a two-component loop on
 named floats: it calls the field's float closure, which returns a tuple of
-rates, stores only each node's final rate and writes a block's states in
-one store.  Any other rhs takes the generic per-component loop, the only
-one for state sizes other than 2, which keeps the ndarray contract through
-an adapter that hands it a fresh array.  In both loops, per component, the
-predictor is u0 + c_pred (out + in) and the corrector
-u0 + c_corr (f + (out + in)), out and in being the history sums from outside
-and inside the node's block: the operation order of the vector form, which
-the golden trajectory hashes of the tests pin bit for bit.
+rates, and stores only each node's final rate, as two floats through a
+flat memoryview of the rate array.  Any other rhs takes the generic
+per-component loop, the only one for state sizes other than 2, which keeps
+the ndarray contract: it hands rhs a fresh array and stores what rhs
+returns into the node's rate row, which casts and broadcasts it.  In both
+loops, per component, the predictor is u0 + c_pred (out + in) and the
+corrector u0 + c_corr (f + (out + in)), out and in being the history sums
+from outside and inside the node's block: the operation order of the vector
+form, which the golden trajectory hashes of the tests pin bit for bit.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -170,6 +175,7 @@ def history_weights(m: float, n: int):
     return weights
 
 
+@functools.cache
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, the lengths numpy's FFT handles fastest."""
     best = 1 << (n - 1).bit_length()
@@ -242,10 +248,12 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     np.multiply(weights[2, :, None], rates[0], out=hist[1:, 1])
     kernels = weights[:2]
     # tails[w] holds both kernels at distances w, ..., 1: the weights of the
-    # w nodes of its own block that precede a node
+    # w nodes of its own block that precede a node.  Each is contiguous, so
+    # the in-block dot hands it to BLAS without a copy.
     block = min(_BLOCK, n_steps)
-    rev = np.ascontiguousarray(kernels[:, block - 1 :: -1])
-    tails = [rev[:, block - w :] for w in range(block)]
+    rev = kernels[:, block - 1 :: -1]
+    tails = [np.ascontiguousarray(rev[:, block - w :]) for w in range(block)]
+    in_sums = np.empty((2, u0.size))
     anchor = u0.tolist()
     # the step calls the field on the float components of a state: the
     # model's field by its float closure, in a loop on named floats (it has
@@ -255,19 +263,19 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     if pair:
         field = rhs.rates
         a0, a1 = anchor
-    else:
-        field = lambda *v: rhs(np.array(v))
+        flat = memoryview(rates.reshape(-1))
 
     for start in range(1, n_steps + 1, _BLOCK):
         stop = min(start + _BLOCK, n_steps + 1)
+        block_rates = rates[start:stop]
+        block_states = []
+        rows = zip(range(start, stop), hist[start:stop].tolist(), tails)
         if pair:
             # The closure returns floats, so a corrector sweep needs no rate
             # row: the in-block dot reads rates[start:i] only, and the final
             # evaluation is the one stored.
-            block_states = []
-            rows = zip(range(start, stop), hist[start:stop].tolist(), tails)
             for i, ((op0, op1), (oc0, oc1)), tail in rows:
-                (ip0, ip1), (ic0, ic1) = np.dot(tail, rates[start:i]).tolist()
+                (ip0, ip1), (ic0, ic1) = tail.dot(block_rates[: i - start], in_sums).tolist()
                 v0 = a0 + c_pred * (op0 + ip0)
                 v1 = a1 + c_pred * (op1 + ip1)
                 s0 = oc0 + ic0
@@ -281,25 +289,24 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
                 if not (abs(v0) <= ESCAPE_BOUND and abs(v1) <= ESCAPE_BOUND):
                     raise SolverDivergenceError(i * h, [v0, v1])
                 block_states.append((v0, v1))
-                rates[i] = field(v0, v1)
-            states[start:stop] = block_states
+                flat[2 * i], flat[2 * i + 1] = field(v0, v1)
         else:
-            for i, (out_pred, out_corr), tail in zip(range(start, stop), hist[start:stop].tolist(), tails):
-                in_pred, in_corr = np.dot(tail, rates[start:i]).tolist()
+            for (i, (out_pred, out_corr), tail), row in zip(rows, block_rates):
+                in_pred, in_corr = tail.dot(block_rates[: i - start], in_sums).tolist()
                 value = [u + c_pred * (o + n) for u, o, n in zip(anchor, out_pred, in_pred)]
                 corr_sums = [o + n for o, n in zip(out_corr, in_corr)]
                 for _ in range(sweeps):
                     # the row store casts and broadcasts the rate as rates[0] does
-                    rates[i] = field(*value)
-                    rate = rates[i].tolist()
-                    value = [u + c_corr * (f + s) for u, f, s in zip(anchor, rate, corr_sums)]
+                    row[...] = rhs(np.array(value))
+                    value = [u + c_corr * (f + s) for u, f, s in zip(anchor, row.tolist(), corr_sums)]
 
                 for v in value:
                     # "not <=" also catches NaN and inf
                     if not abs(v) <= ESCAPE_BOUND:
                         raise SolverDivergenceError(i * h, value)
-                states[i] = value
-                rates[i] = field(*value)
+                block_states.append(value)
+                row[...] = rhs(np.array(value))
+        states[start:stop] = block_states
 
         if stop <= n_steps:
             # The blocks so far end a left half of the dyadic node tree whose

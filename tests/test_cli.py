@@ -475,6 +475,8 @@ REJECTED = {
     # at r = 100 and m = 0.004 the step threshold s2 falls below it
     "thresholds_s2_underflow": (["thresholds", "--c", "0.45", "--m", "0.004", "--r", "100"], "float range"),
     "sweep_s2_underflow": (SWEEP + ["--m", "0.004", "--r", "100"], "float range"),
+    # at the smallest subnormal d the map gain 2/d of s1 is inf
+    "thresholds_d_subnormal": (["thresholds", "--c", "0.45", "--m", "0.9", "--d", "5e-324"], "float range"),
     "x0_infinite": (SIMULATE + ["--x0", "inf,5"], "x0"),
     "x0_nan": (DISCRETE + ["--x0", "nan,5"], "x0"),
     "sweep_grid_budget": (SWEEP + ["--n-points", "10000000000000"], "budget"),

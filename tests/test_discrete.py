@@ -106,6 +106,16 @@ class TestGain:
             with pytest.raises(ValueError, match="float range"):
                 analysis(p, 0.004)
 
+    def test_inverse_of_infinite_gain(self, mid_complexity):
+        # at the smallest subnormal d the gain 2/d of s1 is inf, whose power is
+        # inf rather than an OverflowError
+        p = replace(mid_complexity, d=5e-324)
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            inverse_map_gain(2.0 / p.d, 0.9)
+        for analysis in (step_thresholds, detect_structural_bifurcations):
+            with pytest.raises(ValueError, match="float range"):
+                analysis(p, 0.9)
+
 
 class TestStepMap:
     def test_origin_fixed(self, mid_complexity):
