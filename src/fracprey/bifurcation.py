@@ -132,9 +132,11 @@ def cluster_count(points: np.ndarray) -> int:
     or inf rows do not widen or void it; such a row is within radius of
     nothing, so it founds its own cluster.
 
-    The rule runs in rounds of at most _ROUND_DISTANCES distances.  A round
-    takes the first k = max(1, min(open, _ROUND_DISTANCES // open)) open
-    rows as candidates and measures each against every open row.  In order,
+    The rule runs in rounds of at most _ROUND_DISTANCES distances.  The
+    first round takes k = 1 candidate, so a block that is one cluster costs
+    one pass; every later round takes the first
+    k = max(1, min(open, _ROUND_DISTANCES // open)) open rows as candidates.
+    A round measures each candidate against every open row.  In order,
     a candidate is a center unless an earlier center of the round is within
     radius of it.  The round then closes every candidate and every row
     within radius of a center.
@@ -148,7 +150,7 @@ def cluster_count(points: np.ndarray) -> int:
     with np.errstate(invalid="ignore"):
         while cols.shape[1]:
             n = cols.shape[1]
-            k = max(1, min(n, _ROUND_DISTANCES // n))
+            k = max(1, min(n, _ROUND_DISTANCES // n)) if count else 1
             # summed column by column, then rooted: the bits of norm(axis=1)
             dist = np.zeros((k, n))
             for col in cols:

@@ -141,14 +141,18 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(1.2, -1.0)
 
-    def test_positive_overflow_diagnostic(self):
-        with pytest.raises(MittagLefflerError):
-            mittag_leffler(0.5, 60.0)
+    def test_positive_argument_rejected(self):
+        # below m = 1 only z <= 0 is served; m = 1 stays exp for every z
+        for z in (1e-300, 0.7, 60.0, math.inf):
+            for m in (0.05, 0.5, 0.9999):
+                with pytest.raises(ValueError, match=r"only for z <= 0"):
+                    mittag_leffler(m, z)
+            assert mittag_leffler(1.0, z) == math.exp(z)
 
     def test_nan_argument_rejected(self):
-        # a NaN fails both z == 0 and z < 0; the series would run to its term
-        # cap and then report a tolerance failure, and exp at m = 1 would
-        # return it silently
+        # a NaN fails both z == 0 and z < 0; below m = 1 it would otherwise be
+        # rejected as a positive argument, and exp at m = 1 would return it
+        # silently
         for m in (0.5, 0.9, 1.0):
             with pytest.raises(ValueError, match="z must not be NaN"):
                 mittag_leffler(m, math.nan)
