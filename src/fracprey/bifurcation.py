@@ -139,7 +139,8 @@ def cluster_count(points: np.ndarray) -> int:
     A round measures each candidate against every open row.  In order,
     a candidate is a center unless an earlier center of the round is within
     radius of it.  The round then closes every candidate and every row
-    within radius of a center.
+    within radius of a center; a round of one candidate needs only its row
+    of distances for that.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     scale = max(float(np.max(np.abs(pts), where=np.isfinite(pts), initial=0.0)), 1e-30)
@@ -157,17 +158,20 @@ def cluster_count(points: np.ndarray) -> int:
                 diff = col - col[:k, None]
                 dist += np.square(diff, out=diff)
             near = np.sqrt(dist, out=dist) <= radius
-            bits = np.packbits(near[:, :k], axis=1, bitorder="little")
-            covered = 0
-            centers = []
-            for i in range(k):
-                if not covered >> i & 1:
-                    centers.append(i)
-                    covered |= int.from_bytes(bits[i].tobytes(), "little")
-            keep = ~near[centers].any(axis=0)
+            if k == 1:
+                keep, found = ~near[0], 1
+            else:
+                bits = np.packbits(near[:, :k], axis=1, bitorder="little")
+                covered = 0
+                centers = []
+                for i in range(k):
+                    if not covered >> i & 1:
+                        centers.append(i)
+                        covered |= int.from_bytes(bits[i].tobytes(), "little")
+                keep, found = ~near[centers].any(axis=0), len(centers)
             keep[:k] = False
             cols = cols[:, keep]
-            count += len(centers)
+            count += found
     return count
 
 

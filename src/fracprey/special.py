@@ -14,10 +14,10 @@ integrand has no pole on the principal sheet, so the trapezoid rule on the
 parabola s(u) = mu (1 + iu)^2 converges geometrically (Weideman & Trefethen,
 Math. Comp. 76, 2007; Garrappa, SIAM J. Numer. Anal. 53, 2015) and one fixed
 set of 29 nodes reaches about 1e-15 absolute for every m and x.  The powers
-s_k^m at the nodes depend only on m: they are computed once per order and
-reused while consecutive calls keep that order.  The rule is held to the
-absolute tolerance _TOL.  Every caller needs E_m only at z <= 0, so for
-m < 1 a positive argument is rejected; E_1 = exp takes every z.
+s_k^m at the nodes depend only on m and are computed once per order.  The
+rule and its step-2h check, the two rows of one matrix, are applied in one
+product and must agree within _TOL.  Every caller needs E_m only at z <= 0,
+so for m < 1 a positive argument is rejected; E_1 = exp takes every z.
 """
 
 import math
@@ -39,17 +39,19 @@ _STEP = 2.75 / _NODES
 
 
 def _contour_rule():
-    """log s at the nodes and the weights w_k of E_m(-x) = Re sum w_k r_k,
-    r_k = s_k^m / (s_k^m + x), for steps h and 2h (the even nodes)."""
+    """log s at the nodes and the weights of E_m(-x) = Re sum w_k r_k, with
+    r_k = s_k^m / (s_k^m + x): row 0 of step h, row 1 of step 2h (even k)."""
     u = np.arange(_NODES + 1) * _STEP
     s = _MU * (1.0 + 1j * u) ** 2
     ds = 2j * _MU * (1.0 + 1j * u)
     weights = np.exp(s) * ds * (_STEP / (math.pi * 1j)) / s
     weights[0] *= 0.5
-    return np.log(s), weights, 2.0 * weights[::2]
+    rules = np.array([weights, 2.0 * weights])
+    rules[1, 1::2] = 0.0
+    return np.log(s), rules
 
 
-_LOG_S, _WEIGHTS, _COARSE_WEIGHTS = _contour_rule()
+_LOG_S, _RULES = _contour_rule()
 
 # (m, s_k^m) of the last order quad saw.  A new order rebinds the whole
 # tuple, so a concurrent caller never pairs one order with another's powers;
@@ -79,24 +81,22 @@ def quad(m: float, x: float) -> float:
     contour.
 
     The powers s_k^m are computed once per order and reused while
-    consecutive calls keep that order.  The even nodes form the rule of step
-    2h on the same contour; when the two rules differ by more than _TOL the
-    result is not trusted and MittagLefflerError is raised.
+    consecutive calls keep that order.  One matrix-vector product applies
+    the rules of steps h and 2h, the rows of _RULES; when they differ by
+    more than _TOL the result is not trusted and MittagLefflerError is raised.
     """
     global _POWERS
     order, powers = _POWERS
     if order != m:
         powers = np.exp(m * _LOG_S)
         _POWERS = (m, powers)
-    ratio = powers / (powers + x)
-    fine = (_WEIGHTS @ ratio).real
-    coarse = (_COARSE_WEIGHTS @ ratio[::2]).real
+    fine, coarse = np.dot(_RULES, powers / (powers + x)).real.tolist()
     if not abs(fine - coarse) <= _TOL:
         raise MittagLefflerError(
             f"contour rule for E_{m}(-{x}) differs from its step-2h rule by "
             f"{abs(fine - coarse):.3g} > tol={_TOL}"
         )
-    return float(fine)
+    return fine
 
 
 def mittag_leffler(m: float, z: float) -> float:

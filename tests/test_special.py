@@ -181,6 +181,38 @@ class TestContourRule:
                 special.quad(0.9, 5.0)
         assert mittag_leffler(0.9, -5.0) == pytest.approx(series_oracle(0.9, -5.0), abs=1e-13)
 
+    def test_step_2h_rule_is_the_even_nodes(self):
+        # row 1 is the rule of step 2h: twice row 0 at the even nodes and
+        # exactly zero at the odd ones, so both come from one product
+        rules = special._RULES
+        assert rules.shape == (2, special._NODES + 1)
+        assert rules[1, ::2].tobytes() == (2.0 * rules[0, ::2]).tobytes()
+        assert not rules[1, 1::2].any()
+
+    @pytest.mark.parametrize("m", [0.05, 0.5, 0.9999])
+    @pytest.mark.parametrize("x", [1e-8, 1.0, 1e3])
+    def test_step_2h_check_raises_through_mittag_leffler(self, monkeypatch, m, x):
+        # the reported gap is the one between the rule of step h and the
+        # rule of step 2h, recomputed here from the even nodes alone
+        ratio = np.exp(m * special._LOG_S)
+        ratio /= ratio + x
+        weights = special._RULES[0]
+        gap = abs((weights @ ratio).real - (2.0 * weights[::2] @ ratio[::2]).real)
+        monkeypatch.setattr(special, "_TOL", 1e-20)
+        with pytest.raises(MittagLefflerError, match="step-2h") as info:
+            mittag_leffler(m, -x)
+        reported = float(str(info.value).split(" by ")[1].split(" > ")[0])
+        assert reported == pytest.approx(gap, rel=5e-3)
+
+    @pytest.mark.parametrize(
+        "m, z",
+        [(0.7, -2.0), (0.7, -math.inf), (1.0, -2.0), (1.0, 0.5), (0.5, 0.0), (0.5, -0.0)],
+        ids=["contour", "contour-inf", "exp-negative", "exp-positive", "zero", "minus-zero"],
+    )
+    def test_returns_builtin_float(self, m, z):
+        for arg in (z, np.float64(z)):
+            assert type(mittag_leffler(m, arg)) is float
+
     def test_extreme_arguments(self):
         # E_m(-x) = 1/(x Gamma(1 - m)) (1 + O(1/x)) as x -> inf
         for m, x in ((0.01, 1e8), (0.5, 1e8), (0.9999, 1e8), (0.3, 1e12)):
@@ -192,7 +224,7 @@ def uncached_quad(m, x):
     """The contour rule of special.quad with the powers s_k^m recomputed."""
     ratio = np.exp(m * special._LOG_S)
     ratio /= ratio + x
-    return float((special._WEIGHTS @ ratio).real)
+    return float(np.dot(special._RULES, ratio)[0].real)
 
 
 def assert_powers_match_order():
