@@ -14,8 +14,9 @@ count, budget and finite ends.  Every other range check is the library's,
 and a ValueError the library raises ends the run like a malformed config
 does.
 
-Exit codes: 0 success, 2 config/domain error, 3 numerical escape or a
-`reproduce` summary row outside its tolerance, 4 unwritable output path.
+Exit codes: 0 success, 2 config/domain error, 3 numerical escape, a failed
+numerical check or a `reproduce` summary row outside its tolerance, 4
+unwritable output path.
 """
 
 import argparse
@@ -551,6 +552,11 @@ def run(cfg: RunConfig) -> int:
         # the normal-form preconditions) rejected the input
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a numerical self-check failed at valid parameters, such as a
+        # bifurcation's Jury residual above 1e-8 when 1 - c1 keeps few digits
+        print(f"numerical check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 # --- argument parsing -------------------------------------------------------

@@ -257,6 +257,16 @@ class TestCliRuns:
         assert header == ["n", "x", "y"]
         assert rows  # partial orbit still written
 
+    def test_failed_numerical_check_exit(self, tmp_path, capsys):
+        # 1 - c1 = 1.75e-9 keeps 7 digits: the transcritical Jury residual reads 1.4e-8
+        argv = ("sweep --r 78.0953046065382 --K 166291130.36944187 --alpha 51.40139183153161 "
+                "--h 0.000103855858725885 --theta 0.8566894680343942 --c 0.03355198973015889 "
+                "--d 12.811150260460337 --m 0.2168728395724311 --s-min 0.1 --s-max 0.2 "
+                "--n-points 2 --n-samples 2 --transient 2").split()
+        assert main(argv + ["--output", str(tmp_path / "sweep.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical check failed: transcritical") and err.count("\n") == 1
+
     def test_discrete_normal_run(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(BASE_CONFIG.replace("c = 0.86", "c = 0.45"), encoding="utf-8")
@@ -607,10 +617,17 @@ VALID = {
 }
 
 
+# the model parameters over wide valid ranges, r, K, alpha, h and d log-uniform
+PARAMS = {key: st.floats(lo, hi).map(lambda e: 10.0**e)
+          for key, lo, hi in (("r", -3, 5), ("K", -3, 9), ("alpha", -4, 3), ("h", -4, 2), ("d", -4, 3))}
+PARAMS.update(theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+              c=st.floats(0.0, 1.0, exclude_max=True))
+
+
 @st.composite
 def cli_runs(draw):
     mode = draw(st.sampled_from(sorted(set(fracprey.cli.MODES) - {"reproduce"})))
-    argv = [mode, "--c", str(draw(st.sampled_from([0.86, 0.45, 0.05])))]
+    argv = [mode] + [arg for key, values in PARAMS.items() for arg in (f"--{key}", str(draw(values)))]
     spec = fracprey.cli.MODES[mode]
     for key in spec.keys:
         if key == "follow":
@@ -631,7 +648,7 @@ class TestFuzz:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             try:
-                code = main(argv[:1] + PARAM_FLAGS + argv[1:] + ["--output", str(Path(tmp) / "out.csv")])
+                code = main(argv + ["--output", str(Path(tmp) / "out.csv")])
             except SystemExit as exc:  # argparse rejects the command line
                 code = exc.code
         assert code in (0, 2, 3, 4), (argv, err.getvalue())

@@ -38,24 +38,30 @@ def series_oracle(m, z):
         return float(total)
 
 
-def integral_oracle(m, x, dps=40):
-    """Independent high-precision tanh-sinh quadrature of the spectral
-    integral for E_m(-x) (different quadrature engine and precision from the
-    implementation's fixed 29-node contour rule in float64)."""
-    with mp.workdps(dps):
-        mm = mp.mpf(m)
-        xx = mp.mpf(x)
-        cos_m = mp.cos(mp.pi * mm)
-        sin_m = mp.sin(mp.pi * mm)
+def integral_oracle(m, x):
+    """E_m(-x) = (x sin(m pi) / pi) int_0^inf exp(-r) g(r) dr by 30-digit tanh-sinh
+    quadrature (not the implementation's float64 contour rule), where
+    g(r) = r^(m-1) / (r^(2m) + 2 x r^m cos(m pi) + x^2).  int_0^1 g is an arctan
+    in w = r^m; the (1 - exp(-r)) g it loses there is integrated in v = log r.
+    For m > 1/2, g peaks at r^m = x |cos(m pi)|: that point splits its piece."""
+    with mp.workdps(30):
+        mm, xx = mp.mpf(m), mp.mpf(x)
+        c, s = mp.cospi(mm), mp.sinpi(mm)
 
-        def f(u):
-            return mp.e ** (-(u ** (1 / mm))) / ((u + xx * cos_m) ** 2 + (xx * sin_m) ** 2)
+        def g(r):
+            rm = r**mm
+            return rm / (r * (rm * rm + 2 * xx * c * rm + xx * xx))
 
-        u_star = -xx * cos_m
-        cut = max(mp.mpf(50) ** mm, 2 * u_star, mp.mpf(1))
-        points = [0, u_star, cut, mp.inf] if 0 < u_star < cut else [0, cut, mp.inf]
-        val = mp.quad(f, points)
-        return float(xx * sin_m / (mm * mp.pi) * val)
+        def lost(v):
+            r = mp.exp(v)
+            return -mp.expm1(-r) * g(r) * r
+
+        peak = (-xx * c) ** (1 / mm) if c < 0 else mp.mpf(1)
+        near = [-mp.inf, mp.log(peak), 0] if peak < 1 else [-mp.inf, 0]
+        far = [1, peak, mp.inf] if peak > 1 else [1, mp.inf]
+        head = (mp.atan((1 + xx * c) / (xx * s)) - mp.atan(c / s)) / (mm * xx * s)
+        body = head - mp.quad(lost, near) + mp.quad(lambda r: mp.exp(-r) * g(r), far)
+        return float(xx * s / mp.pi * body)
 
 
 class TestGamma:
@@ -117,11 +123,6 @@ class TestMittagLeffler:
             exact = float(mp.e ** (mp.mpf(x) ** 2) * mp.erfc(x))
         assert mittag_leffler(0.5, -x) == pytest.approx(exact, abs=1e-10)
 
-    @pytest.mark.parametrize("m", [0.3, 0.7, 0.9, 0.99])
-    @pytest.mark.parametrize("x", [10.0, 50.0])
-    def test_against_integral_oracle(self, m, x):
-        assert mittag_leffler(m, -x) == pytest.approx(integral_oracle(m, x), abs=1e-10)
-
     @pytest.mark.parametrize("m", [0.3, 0.9])
     def test_asymptotic_sanity(self, m):
         # leading terms of the large-argument expansion, loose tolerance
@@ -161,17 +162,10 @@ class TestMittagLeffler:
 class TestContourRule:
     """E_m(-x) from the fixed-node parabolic contour rule."""
 
-    # At small m the oracle's integrand exp(-u^(1/m)) is nearly a step at
-    # u = 1: 40 digits take seconds per case (over a minute at m = 0.01),
-    # and 20 digits agree with them at m = 0.05 but still take about 6 s at
-    # m = 0.01.  Near m = 1 the peak of width x sin(m pi) needs 40 digits.
-    @pytest.mark.parametrize(
-        "m", [pytest.param(0.01, marks=pytest.mark.slow), 0.05, 0.3, 0.5, 0.8, 0.9, 0.99, 0.9999]
-    )
-    @pytest.mark.parametrize("x", [1e-8, 1e-3, 1.0, 20.0, 1e3, 1e6])
+    @pytest.mark.parametrize("m", [0.01, 0.05, 0.3, 0.5, 0.7, 0.8, 0.9, 0.99, 0.9999])
+    @pytest.mark.parametrize("x", [1e-8, 1e-3, 1.0, 10.0, 20.0, 50.0, 1e3, 1e6])
     def test_against_integral_oracle_grid(self, m, x):
-        exact = integral_oracle(m, x, dps=20 if m < 0.1 else 40)
-        assert mittag_leffler(m, -x) == pytest.approx(exact, abs=1e-13)
+        assert mittag_leffler(m, -x) == pytest.approx(integral_oracle(m, x), abs=1e-13)
 
     def test_step_2h_estimate_enforces_tol(self, monkeypatch):
         # the two rules differ by about 1e-14, far above a tolerance of 1e-20
