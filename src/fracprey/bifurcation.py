@@ -206,12 +206,14 @@ def stability_region_cm(p: ModelParams, c_grid) -> RegionResult:
 
 
 def export_series(source) -> tuple:
-    """Tabulate a trajectory or orbit as (columns, rows): (t, x, y) rows for
-    a continuous trajectory, (n, x, y) rows for an orbit."""
+    """Tabulate a two-component trajectory or orbit as (columns, table): a
+    float array of (t, x, y) rows for a trajectory, of (n, x, y) rows for an
+    orbit.  Raises ValueError on any other state size."""
     states = np.atleast_2d(source.states)
+    if states.shape[1] != 2:
+        raise ValueError(f"export_series needs 2 state components, got {states.shape[1]}")
     if isinstance(source, Trajectory):
         index, index_name = source.times, "t"
     else:
         index, index_name = np.arange(states.shape[0], dtype=float), "n"
-    rows = [(float(i), float(r[0]), float(r[1])) for i, r in zip(index, states)]
-    return (index_name, "x", "y"), rows
+    return (index_name, "x", "y"), np.column_stack((index, states))

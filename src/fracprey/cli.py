@@ -117,6 +117,8 @@ RunConfig.__doc__ = "One CLI run: the model parameters, the mode and every optio
 
 # the one number format of every CSV cell: 15 significant digits
 _NUMBER_FORMAT = "%.15g"
+# rows of a float table that write_csv formats with one % call
+_CHUNK_ROWS = 1024
 
 
 def format_number(value: float) -> str:
@@ -134,30 +136,25 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path, columns, rows) -> None:
-    """Write columns and a list of rows as CSV.  When every row has one cell
-    per column and every cell is exactly a float, the rows go through one
-    _NUMBER_FORMAT template, which gives the bytes of _format_cell; any other
-    file is formatted cell by cell."""
-    width = len(columns)
+    """Write columns and rows as CSV.  A 2-D float ndarray takes one % call
+    per _CHUNK_ROWS rows, its _NUMBER_FORMAT line repeated once per row, which
+    gives the bytes of _format_cell; a list of rows goes cell by cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        if {len(row) for row in rows} == {width} and {type(v) for row in rows for v in row} == {float}:
-            template = ",".join([_NUMBER_FORMAT] * width) + "\n"
-            fh.writelines(template % tuple(row) for row in rows)
+        if isinstance(rows, np.ndarray):
+            line = ",".join([_NUMBER_FORMAT] * len(columns)) + "\n"
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                chunk = rows[start : start + _CHUNK_ROWS]
+                fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
         else:
             for row in rows:
                 fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
-def _write_series(path, source) -> None:
-    """Write a trajectory or an orbit as (t or n, x, y) rows."""
-    write_csv(path, *export_series(source))
-
-
-def _sweep_rows(result) -> list:
-    """(param, x, y) rows of a step-size sweep."""
-    return [(float(value), float(st[0]), float(st[1]))
-            for value, block in zip(result.parameter_values, result.samples) for st in block]
+def _sweep_rows(result) -> np.ndarray:
+    """(param, x, y) float table of a step-size sweep."""
+    counts = [len(block) for block in result.samples]
+    return np.column_stack((np.repeat(result.parameter_values, counts), np.concatenate(result.samples)))
 
 
 # --- config parsing ---------------------------------------------------------
@@ -334,14 +331,14 @@ def _run_simulate(cfg: RunConfig) -> int:
     except SolverDivergenceError as exc:
         print(f"numerical escape: {exc}", file=sys.stderr)
         return 3
-    _write_series(cfg.output or "simulate.csv", traj)
+    write_csv(cfg.output or "simulate.csv", *export_series(traj))
     return 0
 
 
 def _run_discrete(cfg: RunConfig) -> int:
     orbit_cfg = DiscreteConfig(s=cfg.s, m=cfg.m, iterations=cfg.iterations, **_given(cfg, "transient"))
     orbit = iterate_orbit(cfg.params, orbit_cfg, cfg.x0)
-    _write_series(cfg.output or "discrete.csv", orbit)
+    write_csv(cfg.output or "discrete.csv", *export_series(orbit))
     if orbit.escaped:
         print(f"numerical escape after {len(orbit.states) - 1} iterations", file=sys.stderr)
         return 3
@@ -477,14 +474,14 @@ def _run_reproduce(cfg: RunConfig) -> int:
 
     for m in (0.8, 0.95, 1.0):
         traj = pece_solve(vector_field(p86), DEFAULT_X0, m, SolverConfig(step=0.05, horizon=80.0))
-        _write_series(outdir / f"predator_free_series_m{int(round(m * 100)):03d}.csv", traj)
+        write_csv(outdir / f"predator_free_series_m{int(round(m * 100)):03d}.csv", *export_series(traj))
     traj = pece_solve(vector_field(p45), DEFAULT_X0, 0.9, SolverConfig(step=0.05, horizon=150.0))
-    _write_series(outdir / "interior_series_m090.csv", traj)
+    write_csv(outdir / "interior_series_m090.csv", *export_series(traj))
 
     start = np.array(interior_point(p05)) + 1.0
     for tag, m in (("stable", 0.95), ("unstable", 0.995)):
         traj = pece_solve(vector_field(p05), start, m, SolverConfig(step=0.05, horizon=300.0))
-        _write_series(outdir / f"order_{tag}_series.csv", traj)
+        write_csv(outdir / f"order_{tag}_series.csv", *export_series(traj))
 
     region = stability_region_cm(p05, np.linspace(0.005, 0.12, 24))
     write_csv(outdir / "stability_region.csv", ("c", "m_star"), region.points)

@@ -226,18 +226,27 @@ class TestExport:
         columns, rows = export_series(traj)
         assert columns == ("t", "x", "y")
         assert len(rows) == 3
-        assert rows[1] == (0.1, 3.0, 4.0)
+        assert rows[1].tolist() == [0.1, 3.0, 4.0]
 
     def test_orbit_rows(self, mid_complexity):
         orbit = iterate_orbit(mid_complexity, DiscreteConfig(s=0.1, m=0.9, iterations=4), (10.0, 5.0))
         columns, rows = export_series(orbit)
         assert columns == ("n", "x", "y")
         assert len(rows) == 5
-        assert rows[0] == (0.0, 10.0, 5.0)
+        assert rows[0].tolist() == [0.0, 10.0, 5.0]
 
     def test_empty_source(self):
         traj = Trajectory(times=np.empty(0), states=np.empty((0, 2)))
-        assert export_series(traj) == (("t", "x", "y"), [])
+        columns, rows = export_series(traj)
+        assert columns == ("t", "x", "y")
+        assert rows.shape == (0, 3)
+
+    @pytest.mark.parametrize("u0", [[1.0], [1.0, 2.0, 3.0]], ids=["one", "three"])
+    def test_other_state_sizes_rejected(self, u0):
+        # a one-component state has no y, and a third component has no column
+        traj = pece_solve(lambda u: -u, u0, 0.9, SolverConfig(step=0.1, horizon=0.5))
+        with pytest.raises(ValueError, match=f"2 state components, got {len(u0)}$"):
+            export_series(traj)
 
     def test_round_trip_through_serialization(self, mid_complexity):
         orbit = iterate_orbit(mid_complexity, DiscreteConfig(s=0.11, m=0.77, iterations=30), (10.0, 5.0))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fracprey
 import fracprey.cli
@@ -504,6 +505,9 @@ REJECTED = {
 }
 
 
+CHUNK = fracprey.cli._CHUNK_ROWS
+
+
 class TestWriteCsv:
     """write_csv writes the bytes of the per-cell formatter on either path."""
 
@@ -524,10 +528,38 @@ class TestWriteCsv:
         fracprey.cli.write_csv(path, columns, rows)
         return path.read_bytes(), len(calls)
 
-    def test_all_float_rows_take_the_template(self, tmp_path, monkeypatch):
+    def test_a_float_array_formats_no_cell_one_by_one(self, tmp_path, monkeypatch):
+        data, formatted = self.write(tmp_path, monkeypatch, self.COLUMNS, np.array(self.FLOATS))
+        assert formatted == 0
+        assert data == self.per_cell(self.COLUMNS, self.FLOATS)
+        assert data.splitlines()[1:4] == [
+            b"nan,inf,-inf", b"-0,4.94065645841247e-324,1e+300", b"0.333333333333333,0,-2.5e-07"
+        ]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_chunk_edges(self, tmp_path, monkeypatch, n_rows):
+        rng = np.random.default_rng(n_rows)
+        table = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+        table[::7, 1] = np.nan
+        data, formatted = self.write(tmp_path, monkeypatch, self.COLUMNS, table)
+        assert formatted == 0
+        assert data == self.per_cell(self.COLUMNS, table.tolist())
+        assert len(data.splitlines()) == n_rows + 1
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(table=st.tuples(st.integers(0, 3000), st.integers(1, 5)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(width=64))))
+    def test_any_float_array_gives_the_per_cell_bytes(self, table):
+        columns = [f"c{i}" for i in range(table.shape[1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            fracprey.cli.write_csv(path, columns, table)
+            assert path.read_bytes() == self.per_cell(columns, table.tolist())
+
+    def test_a_list_of_float_rows_is_formatted_cell_by_cell(self, tmp_path, monkeypatch):
         for rows in (self.FLOATS, [list(row) for row in self.FLOATS]):
             data, formatted = self.write(tmp_path, monkeypatch, self.COLUMNS, rows)
-            assert formatted == 0
+            assert formatted == 3 * len(rows)
             assert data == self.per_cell(self.COLUMNS, rows)
         assert data.splitlines()[1:3] == [b"nan,inf,-inf", b"-0,4.94065645841247e-324,1e+300"]
 
@@ -625,8 +657,7 @@ PARAMS.update(theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 
 
 @st.composite
-def cli_runs(draw):
-    mode = draw(st.sampled_from(sorted(set(fracprey.cli.MODES) - {"reproduce"})))
+def cli_runs(draw, mode):
     argv = [mode] + [arg for key, values in PARAMS.items() for arg in (f"--{key}", str(draw(values)))]
     spec = fracprey.cli.MODES[mode]
     for key in spec.keys:
@@ -641,15 +672,22 @@ def cli_runs(draw):
 
 
 class TestFuzz:
-    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-    @given(argv=cli_runs())
-    def test_documented_exit_and_no_traceback(self, argv):
+    # one fuzz per mode, so that no mode is left to the draw
+    @pytest.mark.parametrize("mode", sorted(set(fracprey.cli.MODES) - {"reproduce"}))
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_documented_exit_and_no_traceback(self, mode, data):
+        argv = data.draw(cli_runs(mode))
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
+            out = Path(tmp) / "out.csv"
             try:
-                code = main(argv + ["--output", str(Path(tmp) / "out.csv")])
+                code = main(argv + ["--output", str(out)])
             except SystemExit as exc:  # argparse rejects the command line
                 code = exc.code
+            if code == 0:
+                header, rows = read_csv(out)
+                assert all(len(row) == len(header) for row in rows), argv
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
