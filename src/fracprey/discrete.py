@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ModelParams, _field, equilibria, interior_point, jacobian, thresholds
+from .model import ModelParams, equilibria, interior_point, jacobian, thresholds
 from .pece import ESCAPE_BOUND, _check_budget
 from .special import _check_order, gamma_fn
 
@@ -107,11 +107,18 @@ class DiscreteConfig:
 
 @dataclass(frozen=True)
 class DiscreteOrbit:
-    """Iterates of the map; states is truncated when the orbit escaped."""
+    """Iterates of the map; states is truncated when the orbit escaped.
+
+    stepped counts the rows after the start that the map computed.  It is
+    below config.iterations when the orbit escaped (len(states) - 1: the
+    escaping iterate is not kept) or was copied forward from a repeat (the
+    row where the copy began).
+    """
 
     states: np.ndarray
     config: DiscreteConfig
     escaped: bool
+    stepped: int
 
     @property
     def samples(self) -> np.ndarray:
@@ -192,16 +199,46 @@ class BifurcationEvent:
     residual: float
 
 
-def _map_step(rates: Callable, gain: float, x: float, y: float) -> tuple:
-    """The map on plain floats over the field closure rates of model._field;
-    every map iteration goes through here."""
-    dx, dy = rates(x, y)
-    return x + gain * dx, y + gain * dy
+def _map_kernel(p: ModelParams, gain: float, flat) -> Callable:
+    """The map on plain floats with the parameters, the gain and the flat
+    buffer flat bound once: advance(x, y, start, stop) steps rows start + 1
+    to stop from the row (x, y), storing row n at flat[2n], flat[2n + 1],
+    and returns (x, y, n).  n <= stop means row n escaped: it is non-finite
+    or beyond ESCAPE_BOUND and is returned but not stored; n = stop + 1 means
+    every row was stored.
+
+    The field of model._field is written out here, with the operations of
+    x + gain * dx in its order, so that an iteration makes no Python call;
+    the parity tests pin both copies bit for bit.  At the prey pole
+    x = -1/(alpha (1 - c) h) the capture term divides by zero: that row
+    escapes as (nan, nan), as the step on numpy floats goes non-finite.
+    """
+    r, K, a, theta, d = p.r, p.K, p.attack, p.theta, p.d
+    ah = a * p.h
+    bound = ESCAPE_BOUND
+
+    def advance(x: float, y: float, start: int, stop: int) -> tuple:
+        try:
+            for n in range(start + 1, stop + 1):
+                capture = a * x * y / (1.0 + ah * x)
+                x, y = x + gain * (r * x * (1.0 - x / K) - capture), y + gain * (theta * capture - d * y)
+                # "not <=" also catches NaN and inf
+                if not (abs(x) <= bound and abs(y) <= bound):
+                    return x, y, n
+                flat[2 * n] = x
+                flat[2 * n + 1] = y
+        except ZeroDivisionError:
+            return math.nan, math.nan, n
+        return x, y, stop + 1
+
+    return advance
 
 
 def step_map(p: ModelParams, s: float, m: float, state) -> np.ndarray:
     """One application of the map: state + S * rate(state), no clamping."""
-    x, y = _map_step(_field(p), map_gain(s, m), float(state[0]), float(state[1]))
+    # row 1 goes to a throwaway list; the returned pair is the step, bound or not
+    advance = _map_kernel(p, map_gain(s, m), [0.0] * 4)
+    x, y, _ = advance(float(state[0]), float(state[1]), 0, 1)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise OrbitEscapeError(f"map produced a non-finite state from {state!r}")
     return np.array([x, y])
@@ -212,34 +249,33 @@ def iterate_orbit(p: ModelParams, cfg: DiscreteConfig, x0) -> DiscreteOrbit:
 
     An iterate escapes when it is non-finite or either coordinate exceeds
     ESCAPE_BOUND in magnitude; the comparison is written so that NaN fails it.
-    An orbit that repeats at lag _REPEAT_LAG is copied forward with the same
-    bits instead of being iterated further.  Raises ValueError, before
-    allocating the orbit, when its iterates times state size exceed
+    The orbit is stepped in blocks of _REPEAT_LAG rows, each in one call of
+    the kernel that _map_kernel builds.  At a block end whose row repeats, bit
+    for bit, the row _REPEAT_LAG before it, the rest of the orbit is copied
+    forward with the same bits instead of being iterated further; stepped
+    then says where the copy began.  Raises ValueError, before allocating
+    the orbit, when its iterates times state size exceed
     pece.MAX_GRID_VALUES.
     """
     _check_budget((cfg.iterations + 1) * 2, f"orbit of {cfg.iterations} iterations x 2 state components")
-    gain = map_gain(cfg.s, cfg.m)
-    rates = _field(p)
     last = cfg.iterations
     states = np.empty((last + 1, 2))
     states[0] = np.asarray(x0, dtype=float)
     flat = memoryview(states.reshape(-1))
+    advance = _map_kernel(p, map_gain(cfg.s, cfg.m), flat)
     # Compare bits, not floats: -0.0 == 0.0 is True although the bits differ.
     bits = memoryview(states.view(np.int64).reshape(-1))
     x, y = float(states[0, 0]), float(states[0, 1])
     for start in range(0, last, _REPEAT_LAG):
         stop = min(start + _REPEAT_LAG, last)
-        for n in range(start + 1, stop + 1):
-            x, y = _map_step(rates, gain, x, y)
-            if not (abs(x) <= ESCAPE_BOUND and abs(y) <= ESCAPE_BOUND):
-                return DiscreteOrbit(states=states[:n].copy(), config=cfg, escaped=True)
-            flat[2 * n] = x
-            flat[2 * n + 1] = y
+        x, y, n = advance(x, y, start, stop)
+        if n <= stop:
+            return DiscreteOrbit(states=states[:n].copy(), config=cfg, escaped=True, stepped=n - 1)
         i, j = 2 * stop, 2 * start
         if stop < last and bits[i] == bits[j] and bits[i + 1] == bits[j + 1]:
             _copy_forward(states, stop)
-            break
-    return DiscreteOrbit(states=states, config=cfg, escaped=False)
+            return DiscreteOrbit(states=states, config=cfg, escaped=False, stepped=stop)
+    return DiscreteOrbit(states=states, config=cfg, escaped=False, stepped=last)
 
 
 def _copy_forward(states: np.ndarray, filled: int) -> None:

@@ -120,7 +120,10 @@ class Jacobian2:
 
 def _field(p: ModelParams) -> Callable:
     """The field on plain floats, rates(x, y) -> (dx, dy), with the
-    parameters bound once: the one place its formula is written."""
+    parameters bound once.  The formula has one other copy, written out in
+    the map kernel of discrete._map_kernel; the parity tests pin the two bit
+    for bit.  At the prey pole x = -1/(alpha (1 - c) h) rates raises
+    ZeroDivisionError."""
     r, K, a, h, theta, d = p.r, p.K, p.attack, p.h, p.theta, p.d
     ah = a * h
 

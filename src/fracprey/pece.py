@@ -83,7 +83,8 @@ def _check_budget(values, what: str) -> None:
 
 
 class SolverDivergenceError(RuntimeError):
-    """A state component exceeded ESCAPE_BOUND or went non-finite."""
+    """A state component exceeded ESCAPE_BOUND or went non-finite, or the
+    field's rate at the state is not finite."""
 
     def __init__(self, t: float, state):
         self.t = t
@@ -91,6 +92,7 @@ class SolverDivergenceError(RuntimeError):
         self.bound = ESCAPE_BOUND
         super().__init__(
             f"solution escaped at t={t:g}: |state| exceeded {ESCAPE_BOUND:g} "
+            f"or the state or its rate is not finite "
             f"(state={np.array2string(self.state, precision=6)})"
         )
 
@@ -217,8 +219,9 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     corrector with trapezoid-rule weights, repeated cfg.corrector_sweeps
     times; the final evaluation seeds the next step's history.  Raises
     SolverDivergenceError at the first node with a component beyond
-    ESCAPE_BOUND or not finite, and ValueError, before allocating the grid,
-    when its steps times state size times corrector sweeps exceed
+    ESCAPE_BOUND or not finite, or whose state makes the field divide by
+    zero (the model's prey pole), and ValueError, before allocating the
+    grid, when its steps times state size times corrector sweeps exceed
     MAX_GRID_VALUES.
     """
     _check_order(m)
@@ -239,13 +242,10 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     states = np.empty((n_steps + 1, u0.size))
     rates = np.empty_like(states)
     states[0] = u0
-    rates[0] = np.asarray(rhs(u0), dtype=float)
     # hist[i] holds node i's predictor (row 0) and corrector (row 1) sums
     # over every node outside its own block.  Node 0 is added up front, the
     # others by _add_history as blocks complete.
     hist = np.zeros((n_steps + 1, 2, u0.size))
-    np.multiply(weights[0, :, None], rates[0], out=hist[1:, 0])
-    np.multiply(weights[2, :, None], rates[0], out=hist[1:, 1])
     kernels = weights[:2]
     # tails[w] holds both kernels at distances w, ..., 1: the weights of the
     # w nodes of its own block that precede a node.  Each is contiguous, so
@@ -255,65 +255,76 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     tails = [np.ascontiguousarray(rev[:, block - w :]) for w in range(block)]
     in_sums = np.empty((2, u0.size))
     anchor = u0.tolist()
-    # the step calls the field on the float components of a state: the
-    # model's field by its float closure, in a loop on named floats (it has
-    # two components; rates[0] above fails on any other size), any other
-    # callable on a fresh array
     pair = isinstance(rhs, _VectorField)
-    if pair:
-        field = rhs.rates
-        a0, a1 = anchor
-        flat = memoryview(rates.reshape(-1))
-
-    for start in range(1, n_steps + 1, _BLOCK):
-        stop = min(start + _BLOCK, n_steps + 1)
-        block_rates = rates[start:stop]
-        block_states = []
-        rows = zip(range(start, stop), hist[start:stop].tolist(), tails)
+    # The model's field divides by zero at its prey pole x = -1/(alpha (1-c) h),
+    # where its rate is not finite: the solve diverges at the node whose state
+    # the field was evaluated at, node 0 included.  One try around the loops
+    # costs the steps nothing.
+    i, value = 0, anchor
+    try:
+        rates[0] = np.asarray(rhs(u0), dtype=float)
+        np.multiply(weights[0, :, None], rates[0], out=hist[1:, 0])
+        np.multiply(weights[2, :, None], rates[0], out=hist[1:, 1])
+        # the step calls the field on the float components of a state: the
+        # model's field by its float closure, in a loop on named floats (it
+        # has two components; rates[0] above fails on any other size), any
+        # other callable on a fresh array
         if pair:
-            # The closure returns floats, so a corrector sweep needs no rate
-            # row: the in-block dot reads rates[start:i] only, and the final
-            # evaluation is the one stored.
-            for i, ((op0, op1), (oc0, oc1)), tail in rows:
-                (ip0, ip1), (ic0, ic1) = tail.dot(block_rates[: i - start], in_sums).tolist()
-                v0 = a0 + c_pred * (op0 + ip0)
-                v1 = a1 + c_pred * (op1 + ip1)
-                s0 = oc0 + ic0
-                s1 = oc1 + ic1
-                for _ in range(sweeps):
-                    f0, f1 = field(v0, v1)
-                    v0 = a0 + c_corr * (f0 + s0)
-                    v1 = a1 + c_corr * (f1 + s1)
+            field = rhs.rates
+            a0, a1 = anchor
+            flat = memoryview(rates.reshape(-1))
 
-                # "not <=" also catches NaN and inf
-                if not (abs(v0) <= ESCAPE_BOUND and abs(v1) <= ESCAPE_BOUND):
-                    raise SolverDivergenceError(i * h, [v0, v1])
-                block_states.append((v0, v1))
-                flat[2 * i], flat[2 * i + 1] = field(v0, v1)
-        else:
-            for (i, (out_pred, out_corr), tail), row in zip(rows, block_rates):
-                in_pred, in_corr = tail.dot(block_rates[: i - start], in_sums).tolist()
-                value = [u + c_pred * (o + n) for u, o, n in zip(anchor, out_pred, in_pred)]
-                corr_sums = [o + n for o, n in zip(out_corr, in_corr)]
-                for _ in range(sweeps):
-                    # the row store casts and broadcasts the rate as rates[0] does
-                    row[...] = rhs(np.array(value))
-                    value = [u + c_corr * (f + s) for u, f, s in zip(anchor, row.tolist(), corr_sums)]
+        for start in range(1, n_steps + 1, _BLOCK):
+            stop = min(start + _BLOCK, n_steps + 1)
+            block_rates = rates[start:stop]
+            block_states = []
+            rows = zip(range(start, stop), hist[start:stop].tolist(), tails)
+            if pair:
+                # The closure returns floats, so a corrector sweep needs no rate
+                # row: the in-block dot reads rates[start:i] only, and the final
+                # evaluation is the one stored.
+                for i, ((op0, op1), (oc0, oc1)), tail in rows:
+                    (ip0, ip1), (ic0, ic1) = tail.dot(block_rates[: i - start], in_sums).tolist()
+                    v0 = a0 + c_pred * (op0 + ip0)
+                    v1 = a1 + c_pred * (op1 + ip1)
+                    s0 = oc0 + ic0
+                    s1 = oc1 + ic1
+                    for _ in range(sweeps):
+                        f0, f1 = field(v0, v1)
+                        v0 = a0 + c_corr * (f0 + s0)
+                        v1 = a1 + c_corr * (f1 + s1)
 
-                for v in value:
                     # "not <=" also catches NaN and inf
-                    if not abs(v) <= ESCAPE_BOUND:
-                        raise SolverDivergenceError(i * h, value)
-                block_states.append(value)
-                row[...] = rhs(np.array(value))
-        states[start:stop] = block_states
+                    if not (abs(v0) <= ESCAPE_BOUND and abs(v1) <= ESCAPE_BOUND):
+                        raise SolverDivergenceError(i * h, [v0, v1])
+                    block_states.append((v0, v1))
+                    flat[2 * i], flat[2 * i + 1] = field(v0, v1)
+            else:
+                for (i, (out_pred, out_corr), tail), row in zip(rows, block_rates):
+                    in_pred, in_corr = tail.dot(block_rates[: i - start], in_sums).tolist()
+                    value = [u + c_pred * (o + n) for u, o, n in zip(anchor, out_pred, in_pred)]
+                    corr_sums = [o + n for o, n in zip(out_corr, in_corr)]
+                    for _ in range(sweeps):
+                        # the row store casts and broadcasts the rate as rates[0] does
+                        row[...] = rhs(np.array(value))
+                        value = [u + c_corr * (f + s) for u, f, s in zip(anchor, row.tolist(), corr_sums)]
 
-        if stop <= n_steps:
-            # The blocks so far end a left half of the dyadic node tree whose
-            # size is _BLOCK times the lowest set bit of the block count.
-            blocks = (stop - 1) // _BLOCK
-            width = _BLOCK * (blocks & -blocks)
-            _add_history(rates[stop - width : stop], kernels, hist[stop : stop + width])
+                    for v in value:
+                        # "not <=" also catches NaN and inf
+                        if not abs(v) <= ESCAPE_BOUND:
+                            raise SolverDivergenceError(i * h, value)
+                    block_states.append(value)
+                    row[...] = rhs(np.array(value))
+            states[start:stop] = block_states
+
+            if stop <= n_steps:
+                # The blocks so far end a left half of the dyadic node tree whose
+                # size is _BLOCK times the lowest set bit of the block count.
+                blocks = (stop - 1) // _BLOCK
+                width = _BLOCK * (blocks & -blocks)
+                _add_history(rates[stop - width : stop], kernels, hist[stop : stop + width])
+    except ZeroDivisionError:
+        raise SolverDivergenceError(i * h, [v0, v1] if pair and i else value) from None
 
     times = np.arange(n_steps + 1, dtype=float) * h
     return Trajectory(times=times, states=states)

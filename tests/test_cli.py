@@ -19,6 +19,7 @@ import fracprey.cli
 from fracprey import (
     DiscreteConfig,
     SolverConfig,
+    inverse_map_gain,
     iterate_orbit,
     pece_solve,
     step_thresholds,
@@ -267,6 +268,19 @@ class TestCliRuns:
         assert main(argv + ["--output", str(tmp_path / "sweep.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical check failed: transcritical") and err.count("\n") == 1
+
+    # x0 sits on the prey pole x = -1/(alpha (1 - c) h) of the field, where its
+    # capture term divides by exactly zero
+    @pytest.mark.parametrize("mode, options", [
+        ("discrete", "--s 0.1 --iterations 5"),
+        ("simulate", "--step 0.1 --horizon 1"),
+    ])
+    def test_pole_start_exit(self, tmp_path, capsys, mode, options):
+        argv = (f"{mode} --r 2.65 --K 898 --alpha 0.045 --h 0.0437 --theta 0.215 --c 0.45 "
+                f"--d 1.06 --m 0.9 {options} --x0=-924.5775836164851,1").split()
+        assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical escape") and err.count("\n") == 1
 
     def test_discrete_normal_run(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -658,16 +672,40 @@ PARAMS.update(theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 
 @st.composite
 def cli_runs(draw, mode):
-    argv = [mode] + [arg for key, values in PARAMS.items() for arg in (f"--{key}", str(draw(values)))]
+    params = {key: draw(values) for key, values in PARAMS.items()}
+    if mode == "normal-form":
+        # an interior point x* = q K: theta > h d, and alpha solves
+        # x* = d / (alpha (1 - c) (theta - h d)); a product that underflows
+        # (a subnormal theta) keeps the drawn alpha
+        params["h"] = params["theta"] * draw(st.floats(0.01, 0.99)) / params["d"]
+        margin = params["theta"] - params["h"] * params["d"]
+        denominator = margin * (1.0 - params["c"]) * draw(st.floats(0.01, 0.99)) * params["K"]
+        if denominator > 0.0:
+            params["alpha"] = params["d"] / denominator
+    argv = [mode] + [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
     spec = fracprey.cli.MODES[mode]
+    options = {}
     for key in spec.keys:
         if key == "follow":
             argv += draw(st.sampled_from([[], ["--follow"], ["--no-follow"]]))
         elif key in spec.required or draw(st.booleans()):
             # one value in four is a bad string, so most runs get past the parser
             bad = draw(st.integers(0, 3)) == 0
-            value = draw(st.sampled_from(BAD_VALUES) if bad else VALID[key].map(str))
-            argv += [f"--{key.replace('_', '-')}", value]
+            options[key] = draw(st.sampled_from(BAD_VALUES) if bad else VALID[key])
+    if mode == "discrete":
+        # a transient below iterations and, in half the runs, a step below the
+        # flip step s2 of the predator-free point
+        if isinstance(options["iterations"], int) and isinstance(options.get("transient"), int):
+            options["transient"] = draw(st.integers(0, options["iterations"] - 1))
+        if isinstance(options["m"], float) and isinstance(options["s"], float) and draw(st.booleans()):
+            try:
+                s2 = inverse_map_gain(2.0 / params["r"], options["m"])
+            except ValueError:  # s2 passes the float range
+                pass
+            else:
+                options["s"] = draw(st.floats(0.05, 0.95)) * s2
+    for key, value in options.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
     return argv
 
 

@@ -374,6 +374,7 @@ class TestFastForward:
         states = assert_bit_parity(p, cfg, x0)
         assert first_lag_repeat(states) == found
         assert tail_period(states) == period
+        assert iterate_orbit(p, cfg, x0).stepped == found
 
     def test_quasi_periodic_orbit_never_repeats(self, mid_complexity):
         # past s4 the orbit winds around the attracting circle
@@ -381,6 +382,7 @@ class TestFastForward:
         cfg = DiscreteConfig(s=2.0 * s4, m=0.95, iterations=5000)
         states = assert_bit_parity(mid_complexity, cfg, (10.0, 5.0))
         assert len(states) == 5001 and first_lag_repeat(states) is None
+        assert iterate_orbit(mid_complexity, cfg, (10.0, 5.0)).stepped == 5000
 
     def test_escape(self, mid_complexity):
         cfg = DiscreteConfig(s=2.0, m=1.0, iterations=500)
@@ -418,6 +420,63 @@ class TestFastForward:
         p = ModelParams(c=c, **BASE)
         s = s_over_s2 * step_thresholds(p, m).s2
         assert_bit_parity(p, DiscreteConfig(s=s, m=m, iterations=iterations), (prey, predator))
+
+
+class TestEscapeRows:
+    """Orbits that escape at and next to the block edges of iterate_orbit."""
+
+    # starts found by scanning prey starts at these step sizes (m = 0.95)
+    @pytest.mark.parametrize(
+        "row, s, x0",
+        [
+            pytest.param(1, 0.665, (1e8, 5.0), id="row_1"),
+            pytest.param(63, 0.665, (67.62, 5.0), id="row_63"),
+            pytest.param(64, 0.665, (21.88, 5.0), id="row_64"),
+            pytest.param(65, 0.665, (14.68, 5.0), id="row_65"),
+            pytest.param(128, 0.668, (339.92, 5.0), id="row_128"),
+        ],
+    )
+    def test_matches_both_oracles(self, mid_complexity, row, s, x0):
+        cfg = DiscreteConfig(s=s, m=0.95, iterations=300)
+        orbit = iterate_orbit(mid_complexity, cfg, x0)
+        assert_bit_parity(mid_complexity, cfg, x0)
+        states, escaped = reference_orbit(mid_complexity, cfg, x0)
+        assert orbit.escaped and escaped
+        assert len(orbit.states) == len(states) == row
+        assert np.array_equal(orbit.states.view(np.int64), states.view(np.int64))
+        # the escaping iterate is computed but not kept
+        assert orbit.stepped == row - 1
+
+
+class TestPole:
+    """At the prey pole x = -1/(alpha (1 - c) h) the capture term of the
+    field divides by exactly zero; the map step there is not finite, as on
+    numpy floats, so the orbit escapes and step_map raises."""
+
+    def test_start_on_pole(self, mid_complexity):
+        ah = mid_complexity.attack * mid_complexity.h
+        pole = -1.0 / ah
+        assert 1.0 + ah * pole == 0.0
+        with pytest.raises(OrbitEscapeError):
+            step_map(mid_complexity, 0.1, 0.9, (pole, 1.0))
+        orbit = iterate_orbit(mid_complexity, DiscreteConfig(s=0.1, m=0.9, iterations=5), (pole, 1.0))
+        assert orbit.escaped and orbit.stepped == 0
+        assert orbit.states.tolist() == [[pole, 1.0]]
+        # the same division on numpy floats is not finite
+        x, y, a = np.float64(pole), np.float64(1.0), np.float64(mid_complexity.attack)
+        with np.errstate(divide="ignore"):
+            assert not np.isfinite(a * x * y / (1.0 + a * mid_complexity.h * x))
+
+    def test_orbit_reaches_pole(self, mid_complexity):
+        # the predator start was bisected so that row 1 is the pole itself
+        x0 = (-900.0, 5.474681625040993)
+        cfg = DiscreteConfig(s=0.1, m=0.9, iterations=200)
+        orbit = iterate_orbit(mid_complexity, cfg, x0)
+        assert orbit.escaped and orbit.stepped == 1 and len(orbit.states) == 2
+        assert orbit.states[1, 0] == -1.0 / (mid_complexity.attack * mid_complexity.h)
+        assert np.array_equal(orbit.states[1], step_map(mid_complexity, 0.1, 0.9, x0))
+        with pytest.raises(OrbitEscapeError):
+            step_map(mid_complexity, 0.1, 0.9, orbit.states[1])
 
 
 class TestStepThresholds:

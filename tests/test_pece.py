@@ -403,6 +403,29 @@ class TestDivergence:
         assert info.value.bound == ESCAPE_BOUND
         assert not np.all(np.abs(info.value.state) <= ESCAPE_BOUND)
 
+    def test_pole_start_raises_at_node_zero(self, mid_complexity):
+        # the field's capture term divides by exactly zero at the prey pole
+        # x = -1/(alpha (1 - c) h): both loops end there, at the start
+        ah = mid_complexity.attack * mid_complexity.h
+        pole = -1.0 / ah
+        assert 1.0 + ah * pole == 0.0
+        field = vector_field(mid_complexity)
+        for rhs in (field, lambda u: field(u)):
+            with pytest.raises(SolverDivergenceError) as info:
+                pece_solve(rhs, [pole, 1.0], 0.9, SolverConfig(step=0.1, horizon=1.0))
+            assert info.value.t == 0.0
+            assert info.value.state.tolist() == [pole, 1.0]
+
+    def test_zero_divisor_raises_at_its_node(self):
+        # a rate on Python floats that divides by zero from u <= 0.5 on: the
+        # predictor of the node at t = 0.65, where the nan_rate case above
+        # goes non-finite, is the first state it is evaluated at there
+        with pytest.raises(SolverDivergenceError) as info:
+            pece_solve(lambda u: [-float(u[0]) / float(u[0] > 0.5)], [1.0], 0.9,
+                       SolverConfig(step=0.05, horizon=10.0))
+        assert info.value.t == pytest.approx(0.65, abs=1e-12)
+        assert 0.49 < info.value.state[0] <= 0.5
+
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
