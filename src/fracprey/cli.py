@@ -551,7 +551,7 @@ def run(cfg: RunConfig) -> int:
         return 2
     except RuntimeError as exc:
         # a numerical self-check failed at valid parameters, such as a
-        # bifurcation's Jury residual above 1e-8 when 1 - c1 keeps few digits
+        # bifurcation's Jury residual beyond its rounding bound
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
 

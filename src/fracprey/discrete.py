@@ -12,12 +12,13 @@ the bifurcating invariant circle attracts.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .model import ModelParams, equilibria, interior_point, jacobian, thresholds
+from .model import ModelParams, _compile, equilibria, interior_point, jacobian, thresholds
 from .pece import ESCAPE_BOUND, _check_budget
 from .special import _check_order, gamma_fn
 
@@ -42,6 +43,14 @@ __all__ = [
 
 # |modulus - 1| within this counts as sitting on the unit circle.
 _UNIT_BAND = 1e-12
+
+# A Jury residual of detect_structural_bifurcations passes up to this many
+# eps times its rounding scale.  Over 50,000 random parameter sets of the CLI
+# fuzz ranges the largest ratio stayed below 4 (flip), 2 (Hopf) and 1
+# (transcritical); a wrong threshold formula leaves a residual of the order
+# of the entry's terms, not of eps.
+_RESIDUAL_ULPS = 16.0
+_EPS = sys.float_info.epsilon
 
 # Block length of iterate_orbit's loop and the lag of its repeat check: at
 # the end of each block the last row is compared, bit for bit, with the row
@@ -199,39 +208,41 @@ class BifurcationEvent:
     residual: float
 
 
-def _map_kernel(p: ModelParams, gain: float, flat) -> Callable:
-    """The map on plain floats with the parameters, the gain and the flat
-    buffer flat bound once: advance(x, y, start, stop) steps rows start + 1
-    to stop from the row (x, y), storing row n at flat[2n], flat[2n + 1],
-    and returns (x, y, n).  n <= stop means row n escaped: it is non-finite
-    or beyond ESCAPE_BOUND and is returned but not stored; n = stop + 1 means
-    every row was stored.
-
-    The field of model._field is written out here, with the operations of
-    x + gain * dx in its order, so that an iteration makes no Python call;
-    the parity tests pin both copies bit for bit.  At the prey pole
-    x = -1/(alpha (1 - c) h) the capture term divides by zero: that row
-    escapes as (nan, nan), as the step on numpy floats goes non-finite.
+_map_kernel = _compile(
+    "_map_kernel",
+    ("gain", "flat"),
     """
-    r, K, a, theta, d = p.r, p.K, p.attack, p.theta, p.d
-    ah = a * p.h
     bound = ESCAPE_BOUND
 
-    def advance(x: float, y: float, start: int, stop: int) -> tuple:
+    def advance(x, y, start, stop):
         try:
             for n in range(start + 1, stop + 1):
-                capture = a * x * y / (1.0 + ah * x)
-                x, y = x + gain * (r * x * (1.0 - x / K) - capture), y + gain * (theta * capture - d * y)
+                capture = {capture}
+                x, y = x + gain * {dx}, y + gain * {dy}
                 # "not <=" also catches NaN and inf
                 if not (abs(x) <= bound and abs(y) <= bound):
                     return x, y, n
                 flat[2 * n] = x
                 flat[2 * n + 1] = y
         except ZeroDivisionError:
-            return math.nan, math.nan, n
+            return nan, nan, n
         return x, y, stop + 1
-
     return advance
+    """,
+    """The map on plain floats with the parameters of p, the gain and the
+    flat buffer flat bound once: advance(x, y, start, stop) steps rows
+    start + 1 to stop from the row (x, y), storing row n at flat[2n],
+    flat[2n + 1], and returns (x, y, n).  n <= stop means row n escaped: it
+    is non-finite or beyond ESCAPE_BOUND and is returned but not stored;
+    n = stop + 1 means every row was stored.
+
+    The field is inlined from its one written source, model._FIELD, with the
+    operations of x + gain * dx in its order, so that an iteration makes no
+    Python call.  At the prey pole x = -1/(alpha (1 - c) h) the capture term
+    divides by zero: that row escapes as (nan, nan), as the step on numpy
+    floats goes non-finite.""",
+    {"ESCAPE_BOUND": ESCAPE_BOUND, "nan": math.nan},
+)
 
 
 def step_map(p: ModelParams, s: float, m: float, state) -> np.ndarray:
@@ -490,6 +501,13 @@ def hopf_normal_form(p: ModelParams, m: float) -> NormalFormData:
     )
 
 
+def _trip_rounding(s: float, m: float) -> float:
+    """Relative rounding, in eps, that map_gain(s, m) keeps of its gain after
+    the round trip through the step s = inverse_map_gain(gain, m): 1, plus m
+    times the relative spacing of s, which passes eps for a subnormal s."""
+    return 1.0 + m * (math.ulp(s) / s) / _EPS
+
+
 def detect_structural_bifurcations(p: ModelParams, m: float) -> list:
     """Locate the structural bifurcations of the map for this parameter set.
 
@@ -498,27 +516,50 @@ def detect_structural_bifurcations(p: ModelParams, m: float) -> list:
     (c = c1, s = s5) (eigenvalue through -1); the interior point sheds an
     invariant circle at s = s4 when the unit-modulus set condition holds.
     Every event is reported with the residual of its defining Jury entry
-    (classify_fixed_points), which must vanish to 1e-8.
+    (classify_fixed_points).  The entry vanishes exactly at the event, so its
+    residual is rounding only: a RuntimeError is raised when it exceeds
+    _RESIDUAL_ULPS eps times the rounding scale of the entry, 1 + |tr| +
+    |det| for the arithmetic that forms it plus the entry's sensitivity to
+    the rounding of its inputs.
     """
     st = step_thresholds(p, m)
     th = thresholds(p)
-    # (kind, fixed point, parameters, event step, tested step, report, Jury entry)
+    # (kind, fixed point, parameters, event step, tested step, report, Jury
+    # entry, sensitivity of the entry to the rounding of its inputs, in eps)
     cases = []
     if th.c1 is not None and 0.0 < th.c1 < 1.0:
         at_c1 = replace(p, c=th.c1)
+        a = at_c1.attack
+        capture_gain = p.theta * a * p.K / (1.0 + a * p.h * p.K)
+        growth = capture_gain - p.d     # predator growth at (K, 0), zero at c1
         # at c = c1 the interior constants collapse to G = r, so the flip
         # step coincides with the prey threshold s2
-        cases.append(("transcritical", "predator_free", at_c1, None, 0.5 * st.s2, 1, 1))
-        cases.append(("flip", "predator_free", at_c1, st.s2, st.s2, 1, 2))
+        S = map_gain(0.5 * st.s2, m)
+        # entry (r S)(-S growth): c1 is rounded, so a = alpha (1 - c1) is off
+        # by up to eps / (1 - c1) relative, and growth by that share of its
+        # terms
+        sensitivity = p.r * S * S * (capture_gain + p.d) / (1.0 - th.c1)
+        cases.append(("transcritical", "predator_free", at_c1, None, 0.5 * st.s2, 1, 1, sensitivity))
+        S = map_gain(st.s2, m)
+        # entry (2 - r S)(2 + S growth): r S = 2 up to the rounding of the
+        # gain's round trip through s2
+        sensitivity = p.r * S * abs(2.0 + S * growth) * _trip_rounding(st.s2, m)
+        cases.append(("flip", "predator_free", at_c1, st.s2, st.s2, 1, 2, sensitivity))
     if st.s4 is not None and st.G < 2.0 * math.sqrt(st.H):
-        # entry 0 is 1 - det at the interior point
-        cases.append(("hopf", "interior", p, st.s4, st.s4, 2, 0))
+        # entry 0 is 1 - det = S (G - S H) at the interior point: S = G / H up
+        # to the rounding of the gain's round trip through s4
+        S = map_gain(st.s4, m)
+        cases.append(("hopf", "interior", p, st.s4, st.s4, 2, 0, S * st.G * _trip_rounding(st.s4, m)))
 
     events = []
-    for kind, equilibrium, q, s_event, s_test, k, j in cases:
-        res = abs(classify_fixed_points(q, s_test, m)[k].jury[j])
-        if res >= 1e-8:
-            raise RuntimeError(f"{kind} residual {res:g} fails the 1e-8 verification")
+    for kind, equilibrium, q, s_event, s_test, k, j, sensitivity in cases:
+        jury = classify_fixed_points(q, s_test, m)[k].jury
+        res = abs(jury[j])
+        # the Jury triple is (1 - det, 1 - tr + det, 1 + tr + det)
+        tr, det = 0.5 * (jury[2] - jury[1]), 1.0 - jury[0]
+        bound = _RESIDUAL_ULPS * _EPS * (1.0 + abs(tr) + abs(det) + sensitivity)
+        if not res <= bound:
+            raise RuntimeError(f"{kind} residual {res:g} exceeds its rounding bound {bound:g}")
         events.append(
             BifurcationEvent(kind=kind, equilibrium=equilibrium, c=q.c, s=s_event, residual=res)
         )

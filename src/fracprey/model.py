@@ -14,6 +14,8 @@ thresholds that organize which equilibria exist and attract.
 """
 
 import cmath
+import linecache
+import textwrap
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -118,29 +120,71 @@ class Jacobian2:
         return ((self.trace + root) / 2.0, (self.trace - root) / 2.0)
 
 
-def _field(p: ModelParams) -> Callable:
-    """The field on plain floats, rates(x, y) -> (dx, dy), with the
-    parameters bound once.  The formula has one other copy, written out in
-    the map kernel of discrete._map_kernel; the parity tests pin the two bit
-    for bit.  At the prey pole x = -1/(alpha (1 - c) h) rates raises
-    ZeroDivisionError."""
-    r, K, a, h, theta, d = p.r, p.K, p.attack, p.h, p.theta, p.d
-    ah = a * h
+# The field, written once: the capture term at the state (x, y), then the
+# rates dx and dy, which read it as the local capture.  Every float loop of
+# the package (the rates closure here, the map kernel of discrete and the
+# model's PECE step of pece) is compiled by _compile from a template that
+# splices these expressions in, so that each runs the same operations in the
+# same order and makes no Python call per evaluation.
+_FIELD = {
+    "capture": "a * x * y / (1.0 + ah * x)",
+    "dx": "(r * x * (1.0 - x / K) - capture)",
+    "dy": "(theta * capture - d * y)",
+}
 
-    def rates(x: float, y: float) -> tuple:
-        capture = a * x * y / (1.0 + ah * x)
-        return r * x * (1.0 - x / K) - capture, theta * capture - d * y
 
+def _compile(name: str, args: tuple, body: str, doc: str, namespace: Optional[dict] = None) -> Callable:
+    """Compile the factory name(p, *args) of a float loop on the field.
+
+    The factory binds the parameters of p to the locals r, K, a (the
+    effective attack rate), ah = a h, theta and d, and then runs body, in
+    which {capture}, {dx} and {dy} stand for the expressions of _FIELD at
+    the state named x, y.  body is compiled here, once, when the module that
+    defines the loop is imported (as dataclasses and namedtuple build their
+    methods); a factory call only makes closures, and every closure of one
+    template shares one code object.  namespace holds the globals that body
+    reads, and the source is registered with linecache for tracebacks and
+    profilers."""
+    source = "\n".join([
+        f"def {name}({', '.join(('p',) + args)}):",
+        "    r, K, a, theta, d = p.r, p.K, p.attack, p.theta, p.d",
+        "    ah = a * p.h",
+        textwrap.indent(textwrap.dedent(body).strip("\n").format(**_FIELD), "    "),
+        "",
+    ])
+    filename = f"<fracprey {name}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    scope = dict(namespace or {})
+    exec(compile(source, filename, "exec"), scope)
+    factory = scope[name]
+    factory.__doc__ = doc
+    return factory
+
+
+_field = _compile(
+    "_field",
+    (),
+    """
+    def rates(x, y):
+        capture = {capture}
+        return {dx}, {dy}
     return rates
+    """,
+    """The field on plain floats, rates(x, y) -> (dx, dy), with the
+    parameters of p bound once.  At the prey pole x = -1/(alpha (1 - c) h)
+    rates raises ZeroDivisionError.""",
+)
 
 
 class _VectorField:
     """The field as pece_solve expects it: called on a state array it returns
-    the rate array; its rates attribute is the float closure of _field."""
+    the rate array; its rates attribute is the float closure of _field, and
+    params, from which pece_solve compiles its own step loop, is p."""
 
-    __slots__ = ("rates",)
+    __slots__ = ("params", "rates")
 
     def __init__(self, p: ModelParams):
+        self.params = p
         self.rates = _field(p)
 
     def __call__(self, state) -> np.ndarray:
@@ -154,7 +198,7 @@ def rhs(p: ModelParams, state) -> np.ndarray:
 
 def vector_field(p: ModelParams) -> Callable:
     """The field as a single-argument callable on state arrays, as pece_solve
-    expects; pece_solve calls its float closure (the rates attribute) directly."""
+    expects; pece_solve steps it in a loop with the field inlined."""
     return _VectorField(p)
 
 

@@ -11,26 +11,29 @@ Stat. Comput. 6, 1985): inside blocks of _BLOCK nodes they are summed
 directly, and every completed left half of the dyadic node tree is added to
 the sums of the right half that follows it by one FFT convolution.  The
 result is the same full-memory scheme at O(N log^2 N) cost.  One such level
-takes four transforms whatever the state size: one of the rate block over
-all components, one of both kernels and one inverse per kernel.
+takes three transforms whatever the state size: one of the rate block over
+all components, one of both kernels and one inverse of their stacked
+product.
 
 The step arithmetic runs on Python floats, since numpy calls on a short
 state vector cost more than the arithmetic they do.  Per step numpy does
 one in-block dot product: the kernel tail of each position in a block is a
 contiguous (2, w) array built once per solve, which BLAS takes without a
 copy, and the dot writes into one (2, state size) buffer reused by every
-step.  A block's states are written in one store.  The step loop is chosen
-once per solve.  The model's vector_field takes a two-component loop on
-named floats: it calls the field's float closure, which returns a tuple of
-rates, and stores only each node's final rate, as two floats through a
-flat memoryview of the rate array.  Any other rhs takes the generic
-per-component loop, the only one for state sizes other than 2, which keeps
-the ndarray contract: it hands rhs a fresh array and stores what rhs
-returns into the node's rate row, which casts and broadcasts it.  In both
-loops, per component, the predictor is u0 + c_pred (out + in) and the
-corrector u0 + c_corr (f + (out + in)), out and in being the history sums
-from outside and inside the node's block: the operation order of the vector
-form, which the golden trajectory hashes of the tests pin bit for bit.
+step.  The step loop is chosen once per solve.  The model's vector_field
+takes a two-component loop on named floats, compiled when this module is
+imported from the field's one written source (model._compile): the field
+is inlined, so a step makes no Python call, and each node's state and final
+rate are stored as floats through flat memoryviews of the state and rate
+arrays.  Any other rhs takes the generic per-component loop, the only one
+for state sizes other than 2, which keeps the ndarray contract: it hands
+rhs a fresh array and stores what rhs returns into the node's rate row,
+which casts and broadcasts it, and it writes a block's states in one store.
+In both loops, per component, the predictor is u0 + c_pred (out + in) and
+the corrector u0 + c_corr (f + (out + in)), out and in being the history
+sums from outside and inside the node's block: the operation order of the
+vector form, which the golden trajectory hashes of the tests pin bit for
+bit.
 """
 
 import functools
@@ -40,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import _VectorField
+from .model import _VectorField, _compile
 from .special import _check_order, gamma_fn
 
 __all__ = [
@@ -196,15 +199,98 @@ def _add_history(rates, kernels, hist):
     """Add the rates of len(rates) consecutive nodes into the history sums
     hist of the len(hist) nodes that directly follow them by FFT convolution:
     one transform of the rates over all state components, one of both
-    kernels, and one inverse transform per kernel."""
+    kernels, and one inverse transform of the stacked (2, state size)
+    product, whose rows are each node's predictor and corrector sums.  The
+    kernel transform is dropped before the inverse, which bounds the level's
+    peak memory."""
     n_src, n_dst = len(rates), len(hist)
     span = n_src + n_dst - 1                # largest node distance involved
     n_fft = _fft_length(span)               # circular wrap misses the kept part
-    rates_f = np.fft.rfft(rates.T, n_fft)   # (state size, frequencies)
-    kernels_f = np.fft.rfft(kernels[:, :span], n_fft)
-    kept = slice(n_src - 1, span)
-    for q, w_f in enumerate(kernels_f):
-        hist[:, q] += np.fft.irfft(rates_f * w_f, n_fft)[:, kept].T
+    product = np.fft.rfft(rates.T, n_fft) * np.fft.rfft(kernels[:, :span], n_fft)[:, None]
+    hist += np.fft.irfft(product, n_fft)[:, :, n_src - 1 : span].transpose(2, 0, 1)
+
+
+# Both step loops are factories: called once per solve with its constants,
+# each returns steps(start, stop), which steps the nodes start .. stop - 1 of
+# one block, writes their states and final rates, and raises
+# SolverDivergenceError at the first node with a component beyond
+# ESCAPE_BOUND or not finite, or whose field divides by zero at the state it
+# is evaluated at.
+
+# The model's loop, on named floats, with the field inlined from its one
+# written source (model._compile).  A corrector sweep needs no rate row: the
+# in-block dot reads rates[start:i] only, and the final evaluation is the one
+# stored.  States and rates are stored as floats through flat memoryviews.
+_pair_steps = _compile(
+    "_pair_steps",
+    ("anchor", "c_pred", "c_corr", "sweeps", "h", "states", "rates", "hist", "tails", "in_sums"),
+    """
+    a0, a1 = anchor
+    flat_states = memoryview(states.reshape(-1))
+    flat_rates = memoryview(rates.reshape(-1))
+    bound = ESCAPE_BOUND
+
+    def steps(start, stop):
+        block_rates = rates[start:stop]
+        try:
+            for i, ((op0, op1), (oc0, oc1)), tail in zip(range(start, stop), hist[start:stop].tolist(), tails):
+                (ip0, ip1), (ic0, ic1) = tail.dot(block_rates[: i - start], in_sums).tolist()
+                x = a0 + c_pred * (op0 + ip0)
+                y = a1 + c_pred * (op1 + ip1)
+                s0 = oc0 + ic0
+                s1 = oc1 + ic1
+                for _ in range(sweeps):
+                    capture = {capture}
+                    x, y = a0 + c_corr * ({dx} + s0), a1 + c_corr * ({dy} + s1)
+                # "not <=" also catches NaN and inf
+                if not (abs(x) <= bound and abs(y) <= bound):
+                    raise SolverDivergenceError(i * h, [x, y])
+                flat_states[2 * i] = x
+                flat_states[2 * i + 1] = y
+                capture = {capture}
+                flat_rates[2 * i] = {dx}
+                flat_rates[2 * i + 1] = {dy}
+        except ZeroDivisionError:
+            raise SolverDivergenceError(i * h, [x, y]) from None
+    return steps
+    """,
+    """steps(start, stop) of the model's block loop for the parameters p and
+    one solve's constants and arrays; see the comments above.""",
+    {"ESCAPE_BOUND": ESCAPE_BOUND, "SolverDivergenceError": SolverDivergenceError},
+)
+
+
+def _generic_steps(rhs, anchor, c_pred, c_corr, sweeps, h, states, rates, hist, tails, in_sums):
+    """The block loop of any rhs, per component on lists of floats.  It keeps
+    the ndarray contract: it hands rhs a fresh array and stores what rhs
+    returns into the node's rate row, which casts and broadcasts it, and it
+    writes a block's states in one store."""
+
+    def steps(start, stop):
+        block_rates = rates[start:stop]
+        block_states = []
+        rows = zip(range(start, stop), hist[start:stop].tolist(), tails)
+        try:
+            for (i, (out_pred, out_corr), tail), row in zip(rows, block_rates):
+                in_pred, in_corr = tail.dot(block_rates[: i - start], in_sums).tolist()
+                value = [u + c_pred * (o + n) for u, o, n in zip(anchor, out_pred, in_pred)]
+                corr_sums = [o + n for o, n in zip(out_corr, in_corr)]
+                for _ in range(sweeps):
+                    # the row store casts and broadcasts the rate as rates[0] does
+                    row[...] = rhs(np.array(value))
+                    value = [u + c_corr * (f + s) for u, f, s in zip(anchor, row.tolist(), corr_sums)]
+
+                for v in value:
+                    # "not <=" also catches NaN and inf
+                    if not abs(v) <= ESCAPE_BOUND:
+                        raise SolverDivergenceError(i * h, value)
+                block_states.append(value)
+                row[...] = rhs(np.array(value))
+        except ZeroDivisionError:
+            raise SolverDivergenceError(i * h, value) from None
+        states[start:stop] = block_states
+
+    return steps
 
 
 def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
@@ -212,12 +298,12 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
 
     rhs maps a state vector, passed as a fresh float64 array, to its rate
     vector, or to anything that broadcasts to the state's shape (autonomous
-    field).  The field of model.vector_field is instead called on the state's
-    two floats through its rates closure, in a step loop of its own; the loop
-    is chosen once, before the first step, and both give the same bits.  The
-    predictor convolves the history with rectangle-rule weights, the
-    corrector with trapezoid-rule weights, repeated cfg.corrector_sweeps
-    times; the final evaluation seeds the next step's history.  Raises
+    field).  The field of model.vector_field is instead inlined into a step
+    loop of its own on the state's two floats; the loop is chosen once,
+    before the first step, and both give the same bits.  The predictor
+    convolves the history with rectangle-rule weights, the corrector with
+    trapezoid-rule weights, repeated cfg.corrector_sweeps times; the final
+    evaluation seeds the next step's history.  Raises
     SolverDivergenceError at the first node with a component beyond
     ESCAPE_BOUND or not finite, or whose state makes the field divide by
     zero (the model's prey pole), and ValueError, before allocating the
@@ -255,76 +341,32 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     tails = [np.ascontiguousarray(rev[:, block - w :]) for w in range(block)]
     in_sums = np.empty((2, u0.size))
     anchor = u0.tolist()
-    pair = isinstance(rhs, _VectorField)
-    # The model's field divides by zero at its prey pole x = -1/(alpha (1-c) h),
-    # where its rate is not finite: the solve diverges at the node whose state
-    # the field was evaluated at, node 0 included.  One try around the loops
-    # costs the steps nothing.
-    i, value = 0, anchor
     try:
         rates[0] = np.asarray(rhs(u0), dtype=float)
-        np.multiply(weights[0, :, None], rates[0], out=hist[1:, 0])
-        np.multiply(weights[2, :, None], rates[0], out=hist[1:, 1])
-        # the step calls the field on the float components of a state: the
-        # model's field by its float closure, in a loop on named floats (it
-        # has two components; rates[0] above fails on any other size), any
-        # other callable on a fresh array
-        if pair:
-            field = rhs.rates
-            a0, a1 = anchor
-            flat = memoryview(rates.reshape(-1))
-
-        for start in range(1, n_steps + 1, _BLOCK):
-            stop = min(start + _BLOCK, n_steps + 1)
-            block_rates = rates[start:stop]
-            block_states = []
-            rows = zip(range(start, stop), hist[start:stop].tolist(), tails)
-            if pair:
-                # The closure returns floats, so a corrector sweep needs no rate
-                # row: the in-block dot reads rates[start:i] only, and the final
-                # evaluation is the one stored.
-                for i, ((op0, op1), (oc0, oc1)), tail in rows:
-                    (ip0, ip1), (ic0, ic1) = tail.dot(block_rates[: i - start], in_sums).tolist()
-                    v0 = a0 + c_pred * (op0 + ip0)
-                    v1 = a1 + c_pred * (op1 + ip1)
-                    s0 = oc0 + ic0
-                    s1 = oc1 + ic1
-                    for _ in range(sweeps):
-                        f0, f1 = field(v0, v1)
-                        v0 = a0 + c_corr * (f0 + s0)
-                        v1 = a1 + c_corr * (f1 + s1)
-
-                    # "not <=" also catches NaN and inf
-                    if not (abs(v0) <= ESCAPE_BOUND and abs(v1) <= ESCAPE_BOUND):
-                        raise SolverDivergenceError(i * h, [v0, v1])
-                    block_states.append((v0, v1))
-                    flat[2 * i], flat[2 * i + 1] = field(v0, v1)
-            else:
-                for (i, (out_pred, out_corr), tail), row in zip(rows, block_rates):
-                    in_pred, in_corr = tail.dot(block_rates[: i - start], in_sums).tolist()
-                    value = [u + c_pred * (o + n) for u, o, n in zip(anchor, out_pred, in_pred)]
-                    corr_sums = [o + n for o, n in zip(out_corr, in_corr)]
-                    for _ in range(sweeps):
-                        # the row store casts and broadcasts the rate as rates[0] does
-                        row[...] = rhs(np.array(value))
-                        value = [u + c_corr * (f + s) for u, f, s in zip(anchor, row.tolist(), corr_sums)]
-
-                    for v in value:
-                        # "not <=" also catches NaN and inf
-                        if not abs(v) <= ESCAPE_BOUND:
-                            raise SolverDivergenceError(i * h, value)
-                    block_states.append(value)
-                    row[...] = rhs(np.array(value))
-            states[start:stop] = block_states
-
-            if stop <= n_steps:
-                # The blocks so far end a left half of the dyadic node tree whose
-                # size is _BLOCK times the lowest set bit of the block count.
-                blocks = (stop - 1) // _BLOCK
-                width = _BLOCK * (blocks & -blocks)
-                _add_history(rates[stop - width : stop], kernels, hist[stop : stop + width])
     except ZeroDivisionError:
-        raise SolverDivergenceError(i * h, [v0, v1] if pair and i else value) from None
+        # a field that divides by zero at the start, as the model's does at
+        # its prey pole
+        raise SolverDivergenceError(0.0, anchor) from None
+    np.multiply(weights[0, :, None], rates[0], out=hist[1:, 0])
+    np.multiply(weights[2, :, None], rates[0], out=hist[1:, 1])
+    # the model's field has two components (rates[0] above fails on any
+    # other size) and takes its own loop, compiled with the field inlined;
+    # any other rhs takes the generic loop
+    if isinstance(rhs, _VectorField):
+        make_steps, field = _pair_steps, rhs.params
+    else:
+        make_steps, field = _generic_steps, rhs
+    step_block = make_steps(field, anchor, c_pred, c_corr, sweeps, h, states, rates, hist, tails, in_sums)
+
+    for start in range(1, n_steps + 1, _BLOCK):
+        stop = min(start + _BLOCK, n_steps + 1)
+        step_block(start, stop)
+        if stop <= n_steps:
+            # The blocks so far end a left half of the dyadic node tree whose
+            # size is _BLOCK times the lowest set bit of the block count.
+            blocks = (stop - 1) // _BLOCK
+            width = _BLOCK * (blocks & -blocks)
+            _add_history(rates[stop - width : stop], kernels, hist[stop : stop + width])
 
     times = np.arange(n_steps + 1, dtype=float) * h
     return Trajectory(times=times, states=states)

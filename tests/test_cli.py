@@ -259,13 +259,23 @@ class TestCliRuns:
         assert header == ["n", "x", "y"]
         assert rows  # partial orbit still written
 
-    def test_failed_numerical_check_exit(self, tmp_path, capsys):
-        # 1 - c1 = 1.75e-9 keeps 7 digits: the transcritical Jury residual reads 1.4e-8
-        argv = ("sweep --r 78.0953046065382 --K 166291130.36944187 --alpha 51.40139183153161 "
-                "--h 0.000103855858725885 --theta 0.8566894680343942 --c 0.03355198973015889 "
-                "--d 12.811150260460337 --m 0.2168728395724311 --s-min 0.1 --s-max 0.2 "
-                "--n-points 2 --n-samples 2 --transient 2").split()
-        assert main(argv + ["--output", str(tmp_path / "sweep.csv")]) == 3
+    # 1 - c1 = 1.75e-9 keeps 7 digits: the transcritical Jury residual reads
+    # 1.4e-8, within the rounding that the entry carries from c1
+    SMALL_MARGIN = ("sweep --r 78.0953046065382 --K 166291130.36944187 --alpha 51.40139183153161 "
+                    "--h 0.000103855858725885 --theta 0.8566894680343942 --c 0.03355198973015889 "
+                    "--d 12.811150260460337 --m 0.2168728395724311 --s-min 0.1 --s-max 0.2 "
+                    "--n-points 2 --n-samples 2 --transient 2").split()
+
+    def test_ill_conditioned_residual_passes(self, tmp_path, capsys):
+        assert main(self.SMALL_MARGIN + ["--output", str(tmp_path / "sweep.csv")]) == 0
+        assert "numerical check" not in capsys.readouterr().err
+
+    def test_failed_numerical_check_exit(self, tmp_path, capsys, monkeypatch):
+        def failing_check(p, m):
+            raise RuntimeError("transcritical residual 1 exceeds its rounding bound 1e-14")
+
+        monkeypatch.setattr(fracprey.bifurcation, "detect_structural_bifurcations", failing_check)
+        assert main(self.SMALL_MARGIN + ["--output", str(tmp_path / "sweep.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical check failed: transcritical") and err.count("\n") == 1
 

@@ -25,10 +25,10 @@ from fracprey import (
     thresholds,
 )
 from fracprey.discrete import ESCAPE_BOUND
-from fracprey.model import _field
 from fracprey.pece import MAX_GRID_VALUES
 
 from conftest import BASE
+from test_model import reference_rates
 
 REFERENCE_STEP_TABLE = {
     # m: (s2, s3) at c=0.86 and (s4, s5) at c=0.45
@@ -52,11 +52,13 @@ def random_params(rng):
     )
 
 
-def map_jacobian_fd(p, s, m, point):
+def map_jacobian_fd(p, s, m, point, deltas=None):
+    """Central differences of step_map at point, with the steps deltas, by
+    default 1e-6 max(1, |coordinate|)."""
     point = np.asarray(point, dtype=float)
     out = np.empty((2, 2))
     for j in range(2):
-        delta = 1e-6 * max(1.0, abs(point[j]))
+        delta = 1e-6 * max(1.0, abs(point[j])) if deltas is None else deltas[j]
         hi = point.copy()
         lo = point.copy()
         hi[j] += delta
@@ -301,14 +303,14 @@ LAG = 64
 
 
 def plain_orbit(p, cfg, x0):
-    """The orbit stepped to its last row, with no repeat check."""
+    """The orbit stepped to its last row, with no repeat check, on the
+    tests' own field."""
     gain = map_gain(cfg.s, cfg.m)
-    rates = _field(p)
     states = np.empty((cfg.iterations + 1, 2))
     states[0] = np.asarray(x0, dtype=float)
     x, y = float(states[0, 0]), float(states[0, 1])
     for n in range(1, cfg.iterations + 1):
-        dx, dy = rates(x, y)
+        dx, dy = reference_rates(p, x, y)
         x, y = x + gain * dx, y + gain * dy
         if not (abs(x) <= ESCAPE_BOUND and abs(y) <= ESCAPE_BOUND):
             return states[:n].copy(), True
@@ -681,6 +683,32 @@ class TestStructuralEvents:
             got = [event_key(e.kind, e.equilibrium, e.c, e.s, e.residual)
                    for e in detect_structural_bifurcations(p, m)]
             assert got == reference_events(p, m), m
+
+
+    def test_random_draw_passes_checks_and_matches_oracle(self):
+        # 2,000 valid sets over the CLI fuzz ranges (test_cli.PARAMS): no
+        # residual check raises, and every closed-form modulus agrees with
+        # the differenced map.  The x step is refined below 1e-6 where the
+        # capture term bends on the shorter scale |x| + 1/(a h); the map is
+        # linear in y.
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            p = ModelParams(
+                **{key: 10.0 ** rng.uniform(lo, hi) for key, lo, hi in
+                   (("r", -3, 5), ("K", -3, 9), ("alpha", -4, 3), ("h", -4, 2), ("d", -4, 3))},
+                theta=rng.uniform(0.0, 1.0), c=rng.uniform(0.0, 1.0),
+            )
+            m, s = rng.uniform(0.05, 1.0), rng.uniform(0.01, 2.0)
+            for event in detect_structural_bifurcations(p, m):
+                assert math.isfinite(event.residual)
+            ah = p.attack * p.h
+            for report in classify_fixed_points(p, s, m):
+                x, y = report.point
+                deltas = (1e-6 * min(max(1.0, abs(x)), abs(x) + 1.0 / ah), 1e-6 * max(1.0, abs(y)))
+                jac = map_jacobian_fd(p, s, m, report.point, deltas)
+                oracle = np.sort(np.abs(np.linalg.eigvals(jac)))
+                closed = np.sort([abs(e) for e in report.eigenvalues])
+                assert np.max(np.abs(closed - oracle)) <= 1e-5 * closed[-1], (p, m, s, report.kind)
 
 
 def event_key(kind, equilibrium, c, s, residual):

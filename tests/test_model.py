@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracprey
 from fracprey import (
     ModelParams,
     ParameterError,
@@ -12,6 +15,8 @@ from fracprey import (
     thresholds,
     vector_field,
 )
+from fracprey.discrete import _map_kernel
+from fracprey.pece import _pair_steps
 from conftest import BASE
 
 
@@ -103,6 +108,32 @@ class TestField:
                 # every term of the field is at most r x or d y at a root
                 scale = (1.0 + abs(x) + abs(y)) * (1.0 + p.r + p.d)
                 assert max(abs(v) for v in field.rates(x, y)) <= 1e-9 * scale
+
+
+class TestTemplates:
+    def test_each_template_compiles_once(self, high_complexity, mid_complexity):
+        # every float loop on the field is compiled when its module is
+        # imported; a factory call only makes a closure over that code
+        p, q = high_complexity, mid_complexity
+        assert vector_field(p).rates.__code__ is vector_field(q).rates.__code__
+        assert _map_kernel(p, 0.5, [0.0] * 4).__code__ is _map_kernel(q, 0.7, [0.0] * 4).__code__
+
+        def stepper(params, n_steps):
+            rows = np.zeros((n_steps + 1, 2))
+            sums = np.zeros((n_steps + 1, 2, 2))
+            return _pair_steps(params, [1.0, 2.0], 0.1, 0.05, 1, 0.1, rows, rows.copy(), sums, [], np.empty((2, 2)))
+
+        assert stepper(p, 3).__code__ is stepper(q, 5).__code__
+
+    def test_field_is_written_once(self):
+        # the capture term appears in the package's sources only in _FIELD
+        src = os.path.dirname(fracprey.__file__)
+        found = []
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    found += [name for line in fh if "(1.0 + ah * x)" in line]
+        assert found == ["model.py"]
 
 
 class TestJacobian:

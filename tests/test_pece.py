@@ -11,6 +11,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracprey
 from fracprey import (
@@ -22,6 +24,9 @@ from fracprey import (
     vector_field,
 )
 from fracprey.pece import ESCAPE_BOUND, MAX_GRID_VALUES, _add_history, _fft_length, history_weights
+
+from test_cli import PARAMS
+from test_model import reference_rates
 
 
 def linear_decay(u):
@@ -255,6 +260,36 @@ class TestFieldEntry:
         fast, plain = errors
         assert fast.t == plain.t == pytest.approx(t, abs=1e-12)
         assert np.array_equal(fast.state, plain.state, equal_nan=True)
+
+
+class TestPairLoop:
+    # the model's loop, compiled with the field inlined, against the generic
+    # loop on the tests' own field, written independently of the template
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        params=st.fixed_dictionaries(PARAMS),
+        m=st.floats(0.05, 1.0),
+        sweeps=st.integers(1, 3),
+        n_steps=st.integers(1, 200),
+        step=st.floats(0.01, 0.5),
+        x0=st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
+    )
+    def test_matches_generic_loop_on_reference_field(self, params, m, sweeps, n_steps, step, x0):
+        p = ModelParams(**params)
+        cfg = SolverConfig(step=step, horizon=step * n_steps, corrector_sweeps=sweeps)
+        outcomes = []
+        for rhs in (vector_field(p), lambda u: reference_rates(p, float(u[0]), float(u[1]))):
+            try:
+                outcomes.append(pece_solve(rhs, x0, m, cfg).states)
+            except SolverDivergenceError as exc:
+                outcomes.append(exc)
+        fast, generic = outcomes
+        assert type(fast) is type(generic)
+        if isinstance(generic, SolverDivergenceError):
+            assert fast.t == generic.t
+            fast, generic = fast.state, generic.state
+        assert fast.shape == generic.shape
+        assert np.array_equal(fast.view(np.int64), generic.view(np.int64))
 
 
 def mittag_leffler_series(m, z, digits=40):
