@@ -14,6 +14,11 @@ count, budget and finite ends.  Every other range check is the library's,
 and a ValueError the library raises ends the run like a malformed config
 does.
 
+`reproduce` runs its eight file-writing analyses as a table of jobs on one
+forked worker process per usable CPU, while this process computes the
+summary; each job writes its own CSV, so the files hold the same bytes for
+any worker count, and a failing job ends the run as it would in-process.
+
 Exit codes: 0 success, 2 config/domain error, 3 numerical escape, a failed
 numerical check or a `reproduce` summary row outside its tolerance, 4
 unwritable output path.
@@ -21,6 +26,7 @@ unwritable output path.
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import make_dataclass, replace
@@ -426,18 +432,87 @@ def _within(expected: float, value: float, tol: tuple) -> bool:
     return abs(value - expected) <= max(rel * abs(expected), abs_tol)
 
 
-def _run_reproduce(cfg: RunConfig) -> int:
-    """Re-run the reference analyses into a timestamped directory under
-    cfg.output; exit 3 when a summary row misses its reference value."""
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    outdir = Path(cfg.output or ".") / f"reproduce-{stamp}"
-    # an earlier run in the same second owns this directory: fail, never overwrite
-    outdir.mkdir(parents=True, exist_ok=False)
+def _series_job(path, p: ModelParams, x0, m: float, horizon: float) -> None:
+    """Write the PECE series of the model at p from x0 at order m."""
+    traj = pece_solve(vector_field(p), x0, m, SolverConfig(step=0.05, horizon=horizon))
+    write_csv(path, *export_series(traj))
 
-    p86 = ModelParams(**_REFERENCE_PARAMS)
-    p45 = replace(p86, c=0.45)
-    p05 = replace(p86, c=0.05)
 
+def _sweep_job(path, p: ModelParams, s_min: float, s_max: float) -> None:
+    """Write the map's step-size sweep at p and m = 0.95 over [s_min, s_max]."""
+    sweep = sweep_step_size(p, 0.95, s_min, s_max, 31, transient=3000, n_samples=120, kick=1e-3)
+    write_csv(path, ("param", "x", "y"), _sweep_rows(sweep))
+
+
+def _region_job(path, p: ModelParams) -> None:
+    """Write the (c, m*) boundary of p over c in [0.005, 0.12]."""
+    region = stability_region_cm(p, np.linspace(0.005, 0.12, 24))
+    write_csv(path, ("c", "m_star"), region.points)
+
+
+def _reproduce_jobs(outdir: Path, p86: ModelParams, p45: ModelParams, p05: ModelParams) -> list:
+    """The file-writing analyses of reproduce as (job, path, *arguments),
+    longest first, so that the last job a worker takes is a short one."""
+    start = np.array(interior_point(p05)) + 1.0
+    predator_free = [
+        (_series_job, outdir / f"predator_free_series_m{int(round(m * 100)):03d}.csv",
+         p86, DEFAULT_X0, m, 80.0)
+        for m in (0.8, 0.95, 1.0)
+    ]
+    return [
+        (_sweep_job, outdir / "interior_sweep.csv", p45, 0.10, 0.55),
+        (_series_job, outdir / "order_stable_series.csv", p05, start, 0.95, 300.0),
+        (_series_job, outdir / "order_unstable_series.csv", p05, start, 0.995, 300.0),
+        (_sweep_job, outdir / "predator_free_sweep.csv", p86, 0.60, 0.85),
+        (_series_job, outdir / "interior_series_m090.csv", p45, DEFAULT_X0, 0.9, 150.0),
+        *predator_free,
+        (_region_job, outdir / "stability_region.csv", p05),
+    ]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _run_jobs(jobs: list, local: Callable):
+    """Run every (job, *arguments) of jobs and local(); return local's result.
+
+    The jobs run on min(len(jobs), usable CPUs) forked workers while local
+    runs here.  Their results are then read in table order, so the first job
+    that failed raises its own exception here; the pending jobs are
+    cancelled, and every worker has exited on return.  A forked worker
+    inherits this module's bindings and imports nothing.  With one usable
+    CPU, or no fork start method, local and then each job run here in order.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                futures = [pool.submit(*job) for job in jobs]
+                result = local()
+                for future in futures:
+                    future.result()
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return result
+    result = local()
+    for job, *args in jobs:
+        job(*args)
+    return result
+
+
+def _reference_summary(outdir: Path, p86: ModelParams, p45: ModelParams, p05: ModelParams):
+    """The (name, expected, computed, |diff|) summary rows and whether each
+    is within its tolerance; writes the step-size table."""
     # the report rows of the thresholds and normal-form modes hold c1 .. theta2,
     # lambda_re .. lambda_modulus, transversality and gamma
     computed = dict(_rows_thresholds(p86, None) + _rows_normal_form(p45, 0.95))
@@ -471,27 +546,23 @@ def _run_reproduce(cfg: RunConfig) -> int:
             summary.append((f"{name}_m{m:g}", expected, value, abs(value - expected)))
             passed.append(_within(expected, value, STEP_TOL))
     write_csv(outdir / "step_size_table.csv", ("m", "s2", "s3", "s4", "s5"), table_rows)
+    return summary, passed
 
-    for m in (0.8, 0.95, 1.0):
-        traj = pece_solve(vector_field(p86), DEFAULT_X0, m, SolverConfig(step=0.05, horizon=80.0))
-        write_csv(outdir / f"predator_free_series_m{int(round(m * 100)):03d}.csv", *export_series(traj))
-    traj = pece_solve(vector_field(p45), DEFAULT_X0, 0.9, SolverConfig(step=0.05, horizon=150.0))
-    write_csv(outdir / "interior_series_m090.csv", *export_series(traj))
 
-    start = np.array(interior_point(p05)) + 1.0
-    for tag, m in (("stable", 0.95), ("unstable", 0.995)):
-        traj = pece_solve(vector_field(p05), start, m, SolverConfig(step=0.05, horizon=300.0))
-        write_csv(outdir / f"order_{tag}_series.csv", *export_series(traj))
+def _run_reproduce(cfg: RunConfig) -> int:
+    """Re-run the reference analyses into a timestamped directory under
+    cfg.output; exit 3 when a summary row misses its reference value."""
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    outdir = Path(cfg.output or ".") / f"reproduce-{stamp}"
+    # an earlier run in the same second owns this directory: fail, never overwrite
+    outdir.mkdir(parents=True, exist_ok=False)
 
-    region = stability_region_cm(p05, np.linspace(0.005, 0.12, 24))
-    write_csv(outdir / "stability_region.csv", ("c", "m_star"), region.points)
-
-    for name, pset, lo, hi in (
-        ("interior_sweep", p45, 0.10, 0.55),
-        ("predator_free_sweep", p86, 0.60, 0.85),
-    ):
-        sweep = sweep_step_size(pset, 0.95, lo, hi, 31, transient=3000, n_samples=120, kick=1e-3)
-        write_csv(outdir / f"{name}.csv", ("param", "x", "y"), _sweep_rows(sweep))
+    p86 = ModelParams(**_REFERENCE_PARAMS)
+    p45 = replace(p86, c=0.45)
+    p05 = replace(p86, c=0.05)
+    summary, passed = _run_jobs(
+        _reproduce_jobs(outdir, p86, p45, p05), lambda: _reference_summary(outdir, p86, p45, p05)
+    )
 
     write_csv(outdir / "summary.csv", ("name", "expected", "computed", "abs_diff"), summary)
     width = max(len(name) for name, *_ in summary)

@@ -99,6 +99,10 @@ class SolverDivergenceError(RuntimeError):
             f"(state={np.array2string(self.state, precision=6)})"
         )
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which here hold only the message
+        return type(self), (self.t, self.state)
+
 
 @dataclass(frozen=True)
 class SolverConfig:

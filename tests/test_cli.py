@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -450,6 +451,49 @@ class TestReproduce:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [outdir]
         assert {f.name: f.read_bytes() for f in outdir.iterdir()} == first
+
+    @staticmethod
+    def run_on(cpus, out, capfd, monkeypatch):
+        """reproduce with cpus usable CPUs: one runs every analysis in this
+        process, more run them on workers.  Returns (exit code, stderr), the
+        workers' own writes to file descriptor 2 included."""
+        monkeypatch.setattr(fracprey.cli, "_usable_cpus", lambda: cpus)
+        code = main(["reproduce", "--output", str(out)])
+        assert multiprocessing.active_children() == []
+        return code, capfd.readouterr().err
+
+    def test_workers_write_the_same_bytes(self, tmp_path, capfd, monkeypatch):
+        files = {}
+        for cpus in (1, 2):
+            assert self.run_on(cpus, tmp_path / str(cpus), capfd, monkeypatch) == (0, "")
+            (outdir,) = (tmp_path / str(cpus)).glob("reproduce-*")
+            files[cpus] = {f.name: f.read_bytes() for f in outdir.iterdir()}
+        assert len(files[1]) == 11
+        assert files[2] == files[1]
+
+    def test_job_divergence_exits_3_on_every_path(self, tmp_path, capfd, monkeypatch):
+        def diverging(field, x0, m, cfg):
+            raise fracprey.SolverDivergenceError(2.5, [1e13, 0.0])
+
+        monkeypatch.setattr(fracprey.cli, "pece_solve", diverging)
+        one = self.run_on(1, tmp_path / "1", capfd, monkeypatch)
+        assert one == (3, f"numerical check failed: {fracprey.SolverDivergenceError(2.5, [1e13, 0.0])}\n")
+        assert self.run_on(2, tmp_path / "2", capfd, monkeypatch) == one
+
+    def test_job_write_error_exits_4_on_every_path(self, tmp_path, capfd, monkeypatch):
+        write_csv = fracprey.cli.write_csv
+
+        def failing(path, columns, rows):
+            if Path(path).name == "predator_free_sweep.csv":
+                raise PermissionError(13, "Permission denied", str(path))
+            write_csv(path, columns, rows)
+
+        monkeypatch.setattr(fracprey.cli, "write_csv", failing)
+        for cpus in (1, 2):
+            code, err = self.run_on(cpus, tmp_path / str(cpus), capfd, monkeypatch)
+            (outdir,) = (tmp_path / str(cpus)).glob("reproduce-*")
+            assert (code, err) == (4, f"cannot write output: [Errno 13] Permission denied: "
+                                      f"'{outdir / 'predator_free_sweep.csv'}'\n")
 
     @pytest.mark.parametrize("key", fracprey.cli.PARAM_KEYS)
     def test_parameter_flag_rejected(self, tmp_path, capsys, key):

@@ -52,18 +52,21 @@ def random_params(rng):
     )
 
 
-def map_jacobian_fd(p, s, m, point, deltas=None):
-    """Central differences of step_map at point, with the steps deltas, by
-    default 1e-6 max(1, |coordinate|)."""
+def map_jacobian_fd(p, s, m, point):
+    """Central differences of step_map at point.  The y step is
+    1e-6 max(1, |y|), as the map is linear in y; the x step is
+    1e-6 min(max(1, |x|), |x| + 1/(a h)), since the capture term bends on
+    the shorter scale |x| + 1/(a h) where a h is large."""
     point = np.asarray(point, dtype=float)
+    x, y = np.abs(point)
+    deltas = (1e-6 * min(max(1.0, x), x + 1.0 / (p.attack * p.h)), 1e-6 * max(1.0, y))
     out = np.empty((2, 2))
     for j in range(2):
-        delta = 1e-6 * max(1.0, abs(point[j])) if deltas is None else deltas[j]
         hi = point.copy()
         lo = point.copy()
-        hi[j] += delta
-        lo[j] -= delta
-        out[:, j] = (step_map(p, s, m, hi) - step_map(p, s, m, lo)) / (2.0 * delta)
+        hi[j] += deltas[j]
+        lo[j] -= deltas[j]
+        out[:, j] = (step_map(p, s, m, hi) - step_map(p, s, m, lo)) / (2.0 * deltas[j])
     return out
 
 
@@ -688,9 +691,7 @@ class TestStructuralEvents:
     def test_random_draw_passes_checks_and_matches_oracle(self):
         # 2,000 valid sets over the CLI fuzz ranges (test_cli.PARAMS): no
         # residual check raises, and every closed-form modulus agrees with
-        # the differenced map.  The x step is refined below 1e-6 where the
-        # capture term bends on the shorter scale |x| + 1/(a h); the map is
-        # linear in y.
+        # the differenced map.
         rng = np.random.default_rng(0)
         for _ in range(2000):
             p = ModelParams(
@@ -701,11 +702,8 @@ class TestStructuralEvents:
             m, s = rng.uniform(0.05, 1.0), rng.uniform(0.01, 2.0)
             for event in detect_structural_bifurcations(p, m):
                 assert math.isfinite(event.residual)
-            ah = p.attack * p.h
             for report in classify_fixed_points(p, s, m):
-                x, y = report.point
-                deltas = (1e-6 * min(max(1.0, abs(x)), abs(x) + 1.0 / ah), 1e-6 * max(1.0, abs(y)))
-                jac = map_jacobian_fd(p, s, m, report.point, deltas)
+                jac = map_jacobian_fd(p, s, m, report.point)
                 oracle = np.sort(np.abs(np.linalg.eigvals(jac)))
                 closed = np.sort([abs(e) for e in report.eigenvalues])
                 assert np.max(np.abs(closed - oracle)) <= 1e-5 * closed[-1], (p, m, s, report.kind)

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import statistics
 import sys
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracprey
+import fracprey.cli
 from fracprey import (
     ModelParams,
     SolverConfig,
@@ -462,6 +464,35 @@ class TestDivergence:
         assert 0.49 < info.value.state[0] <= 0.5
 
 
+def package_exceptions():
+    """Every exception class a fracprey module defines."""
+    modules = [getattr(fracprey, name) for name in
+               ("special", "model", "pece", "stability", "discrete", "bifurcation", "cli")]
+    return sorted((obj for module in modules for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__), key=lambda cls: cls.__name__)
+
+
+class TestPickle:
+    # a worker process sends the exception a job raised back through pickle
+    @pytest.mark.parametrize("cls", package_exceptions(), ids=lambda cls: cls.__name__)
+    def test_exception_round_trip(self, cls):
+        exc = cls(1.5, [1.0, math.inf]) if cls is SolverDivergenceError else cls("message")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        if cls is SolverDivergenceError:
+            assert back.t == 1.5
+            assert back.state.tolist() == [1.0, math.inf]
+            assert back.bound == ESCAPE_BOUND
+
+    def test_every_module_is_searched(self):
+        assert [cls.__name__ for cls in package_exceptions()] == [
+            "ConfigError", "MittagLefflerError", "NonhyperbolicError", "NormalFormPreconditionError",
+            "OrbitEscapeError", "ParameterError", "SolverDivergenceError",
+        ]
+
+
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -545,7 +576,9 @@ class TestNoScipy:
 
     def test_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(fracprey.__file__)))
-        code = "import sys, fracprey, fracprey.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        # nor the process-pool modules, which only a reproduce run with workers imports
+        code = ("import sys, fracprey, fracprey.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src), timeout=120)
         assert proc.returncode == 0, proc.stderr
