@@ -9,7 +9,7 @@ import numpy as np
 
 from .discrete import DiscreteConfig, detect_structural_bifurcations, iterate_orbit
 from .model import ModelParams, thresholds
-from .pece import Trajectory, _check_budget
+from .pece import Trajectory, _check_budget, _check_count
 from .stability import critical_order
 
 __all__ = [
@@ -86,10 +86,9 @@ def sweep_step_size(
         raise ValueError(f"need 0 < s_min < s_max < inf, got {s_min!r}, {s_max!r}")
     if not math.isfinite(kick):
         raise ValueError(f"kick must be finite, got {kick!r}")
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points!r}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
+    _check_count("n_points", n_points, 2)
+    _check_count("n_samples", n_samples, 1)
+    _check_count("transient", transient, 0)
     _check_budget(
         n_points * n_samples * 2,
         f"sweep of {n_points} points x {n_samples} samples x 2 state components",

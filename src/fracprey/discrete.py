@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ModelParams, _compile, equilibria, interior_point, jacobian, thresholds
-from .pece import ESCAPE_BOUND, _check_budget
+from .pece import ESCAPE_BOUND, _check_budget, _check_count
 from .special import _check_order, gamma_fn
 
 __all__ = [
@@ -106,9 +106,9 @@ class DiscreteConfig:
         if not 0 < self.s < math.inf:
             raise ValueError(f"step size must satisfy 0 < s < inf, got {self.s!r}")
         _check_order(self.m)
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
-        if not 0 <= self.transient < self.iterations:
+        _check_count("iterations", self.iterations, 1)
+        _check_count("transient", self.transient, 0)
+        if not self.transient < self.iterations:
             raise ValueError(
                 f"transient must satisfy 0 <= transient < iterations, got {self.transient!r}"
             )

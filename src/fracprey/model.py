@@ -133,6 +133,21 @@ _FIELD = {
 }
 
 
+def _exec_factory(name: str, params: tuple, body: str, doc: str, namespace: Optional[dict] = None) -> Callable:
+    """Compile the factory name(*params) whose body is the source body.
+
+    namespace holds the globals that body reads, and the source is
+    registered with linecache for tracebacks and profilers."""
+    source = "\n".join([f"def {name}({', '.join(params)}):", textwrap.indent(body, "    "), ""])
+    filename = f"<fracprey {name}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    scope = dict(namespace or {})
+    exec(compile(source, filename, "exec"), scope)
+    factory = scope[name]
+    factory.__doc__ = doc
+    return factory
+
+
 def _compile(name: str, args: tuple, body: str, doc: str, namespace: Optional[dict] = None) -> Callable:
     """Compile the factory name(p, *args) of a float loop on the field.
 
@@ -143,22 +158,13 @@ def _compile(name: str, args: tuple, body: str, doc: str, namespace: Optional[di
     defines the loop is imported (as dataclasses and namedtuple build their
     methods); a factory call only makes closures, and every closure of one
     template shares one code object.  namespace holds the globals that body
-    reads, and the source is registered with linecache for tracebacks and
-    profilers."""
-    source = "\n".join([
-        f"def {name}({', '.join(('p',) + args)}):",
-        "    r, K, a, theta, d = p.r, p.K, p.attack, p.theta, p.d",
-        "    ah = a * p.h",
-        textwrap.indent(textwrap.dedent(body).strip("\n").format(**_FIELD), "    "),
-        "",
+    reads."""
+    body = "\n".join([
+        "r, K, a, theta, d = p.r, p.K, p.attack, p.theta, p.d",
+        "ah = a * p.h",
+        textwrap.dedent(body).strip("\n").format(**_FIELD),
     ])
-    filename = f"<fracprey {name}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    scope = dict(namespace or {})
-    exec(compile(source, filename, "exec"), scope)
-    factory = scope[name]
-    factory.__doc__ = doc
-    return factory
+    return _exec_factory(name, ("p",) + args, body, doc, namespace)
 
 
 _field = _compile(

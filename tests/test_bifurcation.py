@@ -43,6 +43,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_step_size(mid_complexity, 0.95, 0.1, 0.2, 1)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [dict(n_points=2.5), dict(n_points=5.0), dict(n_samples=2.5), dict(transient=2.5), dict(transient=-1)],
+    )
+    def test_counts_must_be_integers(self, mid_complexity, counts):
+        args = dict(n_points=5, transient=10, n_samples=5) | counts
+        with pytest.raises(ValueError, match="n_points|n_samples|transient"):
+            sweep_step_size(mid_complexity, 0.95, 0.1, 0.2, **args)
+
     def test_size_budget_rejected_before_allocation(self, mid_complexity):
         # 1e13 grid points would ask linspace alone for 80 TB
         with pytest.raises(ValueError, match="exceeds the budget"):

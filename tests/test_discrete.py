@@ -225,6 +225,18 @@ class TestOrbit:
         with pytest.raises(ValueError):
             DiscreteConfig(s=0.1, m=0.9, iterations=10, transient=10)
 
+    @pytest.mark.parametrize(
+        "counts", [dict(iterations=2.5), dict(iterations=10.0), dict(iterations=10, transient=1.5),
+                   dict(iterations="10"), dict(iterations=10, transient=-1)],
+    )
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValueError, match="iterations|transient"):
+            DiscreteConfig(s=0.1, m=0.9, **counts)
+
+    def test_numpy_integer_counts_accepted(self, mid_complexity):
+        cfg = DiscreteConfig(s=0.1, m=0.9, iterations=np.int64(10), transient=np.int32(2))
+        assert iterate_orbit(mid_complexity, cfg, (10.0, 5.0)).states.shape == (11, 2)
+
 
 def reference_rhs(p, state):
     """The field as a numpy 2-vector, written out independently of fracprey."""

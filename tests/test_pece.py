@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import fracprey
 import fracprey.cli
+import fracprey.pece as pece
 from fracprey import (
     ModelParams,
     SolverConfig,
@@ -294,6 +295,155 @@ class TestPairLoop:
         assert np.array_equal(fast.view(np.int64), generic.view(np.int64))
 
 
+def random_field(kind, linear, quadratic, level):
+    """A nonlinear field on n components, independent of the package.  "poly"
+    couples each component to its neighbour quadratically; "trig" feeds the
+    linear part through sin; "divide" divides every rate, on Python floats,
+    by 1 while u[0] > level and by 0 from there on (ZeroDivisionError)."""
+    if kind == "poly":
+        return lambda u: linear @ u + quadratic * u * np.roll(u, 1)
+    if kind == "trig":
+        return lambda u: np.sin(linear @ u) + quadratic * u
+    return lambda u: [float(v) / float(u[0] > level) for v in linear @ u]
+
+
+def solve_outcome(rhs, x0, m, cfg):
+    """pece_solve's states, or the SolverDivergenceError it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return pece_solve(rhs, x0, m, cfg).states
+    except SolverDivergenceError as exc:
+        return exc
+
+
+def assert_same_outcome(a, b):
+    """Equal bits, or a divergence at the same t with the same state bits."""
+    assert type(a) is type(b)
+    if isinstance(a, SolverDivergenceError):
+        assert a.t == b.t
+        a, b = a.state, b.state
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def steps_code(rhs, x0, cfg):
+    """The code objects of the step loops that call rhs during one solve."""
+    codes = set()
+
+    def spy(u):
+        codes.add(sys._getframe(1).f_code)
+        return rhs(u)
+
+    pece_solve(spy, x0, 0.9, cfg)
+    return {code for code in codes if code.co_name == "steps"}
+
+
+class TestNamedLoop:
+    # the loops on named floats against _generic_steps, which runs every
+    # size when the bound is 0; one size above the bound runs the generic
+    # loop both times
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        data=st.data(),
+        n=st.integers(1, pece._MAX_NAMED + 1),
+        kind=st.sampled_from(["poly", "trig", "divide"]),
+        m=st.floats(0.05, 1.0),
+        sweeps=st.integers(1, 3),
+        n_steps=st.integers(1, 200),
+        step=st.floats(0.01, 0.5),
+    )
+    def test_matches_generic_loop(self, data, n, kind, m, sweeps, n_steps, step):
+        values = lambda size, lo, hi: np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+        linear = values(n * n, -0.5, 0.5).reshape(n, n) - np.diag(values(n, 0.1, 2.0))
+        field = random_field(kind, linear, values(n, -0.3, 0.3), data.draw(st.floats(-1.0, 1.0)))
+        x0 = values(n, -2.0, 2.0)
+        cfg = SolverConfig(step=step, horizon=step * n_steps, corrector_sweeps=sweeps)
+        named = solve_outcome(field, x0, m, cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pece, "_MAX_NAMED", 0)
+            generic = solve_outcome(field, x0, m, cfg)
+        assert_same_outcome(named, generic)
+
+    def test_zero_divisor_field_raises_in_both_loops(self):
+        # the "divide" field of the test above reaches its zero divisor
+        field = random_field("divide", -np.eye(2), None, 0.5)
+        outcomes = []
+        for bound in (pece._MAX_NAMED, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pece, "_MAX_NAMED", bound)
+                outcomes.append(solve_outcome(field, [1.0, 1.0], 0.9, SolverConfig(step=0.05, horizon=10.0)))
+        assert isinstance(outcomes[0], SolverDivergenceError)
+        assert outcomes[0].t == pytest.approx(0.65, abs=1e-12)
+        assert_same_outcome(*outcomes)
+
+    # rates that are not a float64 array of the state's shape: the row store
+    # casts and broadcasts them, in both loops alike
+    @pytest.mark.parametrize("n", [1, 3, pece._MAX_NAMED + 1])
+    @pytest.mark.parametrize(
+        "rate,expected",
+        [
+            (lambda u: 1, lambda u: np.ones_like(u)),
+            (lambda u: (-u).tolist(), lambda u: -u),
+            (lambda u: np.arange(1, len(u) + 1), lambda u: np.arange(1.0, len(u) + 1.0)),
+            (lambda u: (-u).astype(np.float32), lambda u: (-u).astype(np.float32).astype(np.float64)),
+        ],
+        ids=["scalar", "list", "int_array", "float32_array"],
+    )
+    def test_rate_types(self, n, rate, expected):
+        x0 = np.linspace(1.0, 2.0, n)
+        cfg = SolverConfig(step=0.1, horizon=10.0, corrector_sweeps=2)
+        reference = pece_solve(expected, x0, 0.9, cfg).states
+        assert np.array_equal(pece_solve(rate, x0, 0.9, cfg).states, reference)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pece, "_MAX_NAMED", 0)
+            assert np.array_equal(pece_solve(rate, x0, 0.9, cfg).states, reference)
+
+    @pytest.mark.parametrize("n", [1, 3, pece._MAX_NAMED + 1])
+    def test_rhs_may_mutate_its_argument(self, n):
+        def doubling(u):
+            u *= 2.0
+            return -u
+
+        x0 = np.linspace(1.0, 2.0, n)
+        cfg = SolverConfig(step=0.05, horizon=5.0, corrector_sweeps=2)
+        reference = pece_solve(lambda u: -2.0 * u, x0, 0.9, cfg).states
+        assert np.array_equal(pece_solve(doubling, x0, 0.9, cfg).states, reference)
+
+    @pytest.mark.parametrize("n", [1, 3, pece._MAX_NAMED + 1])
+    def test_rhs_may_keep_its_argument(self, n):
+        # every call gets an array of its own: with one sweep the calls
+        # alternate predictor and final state, and the kept final states are
+        # the stored states
+        kept = []
+
+        def keeping(u):
+            kept.append(u)
+            return -u
+
+        states = pece_solve(keeping, np.linspace(1.0, 2.0, n), 0.9, SolverConfig(step=0.05, horizon=5.0)).states
+        assert len({id(u) for u in kept}) == len(kept) == 2 * len(states) - 1
+        assert np.array_equal(np.array(kept[::2]), states)
+
+    def test_one_code_object_per_size(self):
+        cfg = SolverConfig(step=0.1, horizon=1.0)
+        three = steps_code(lambda u: -u, [1.0, 2.0, 3.0], cfg)
+        assert len(three) == 1
+        assert three == steps_code(lambda u: np.sin(u), [0.5, 0.25, 0.125], cfg)
+        assert three.pop().co_filename == "<fracprey _named_steps_3>"
+        assert steps_code(lambda u: -u, [1.0, 2.0, 3.0, 4.0], cfg).pop().co_filename == "<fracprey _named_steps_4>"
+
+    def test_large_state_compiles_no_loop(self):
+        def no_compile(*args):
+            raise AssertionError("a loop was compiled")
+
+        n = 2000
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pece, "_exec_factory", no_compile)
+            (code,) = steps_code(lambda u: -u, np.ones(n), SolverConfig(step=0.1, horizon=1.0))
+        # the generic loop, written in pece.py; a compiled loop's file is <fracprey ...>
+        assert code.co_filename == pece.__file__
+
+
 def mittag_leffler_series(m, z, digits=40):
     """E_m(z) by its power series at `digits` digits: an oracle independent
     of the package's contour rule, fine for the |z| < 3 used here."""
@@ -504,6 +654,32 @@ class TestConfigValidation:
             SolverConfig(step=0.1, horizon=0.05)
         with pytest.raises(ValueError):
             SolverConfig(step=0.1, horizon=1.0, corrector_sweeps=0)
+
+    @pytest.mark.parametrize("sweeps", [2.5, 2.0, "2", None])
+    def test_rejects_non_integral_sweeps(self, sweeps):
+        with pytest.raises(ValueError, match="corrector_sweeps must be an integer"):
+            SolverConfig(step=0.1, horizon=1.0, corrector_sweeps=sweeps)
+
+    def test_numpy_integer_sweeps_accepted(self):
+        cfg = SolverConfig(step=0.1, horizon=1.0, corrector_sweeps=np.int64(2))
+        assert np.array_equal(pece_solve(linear_decay, [1.0], 0.9, cfg).states,
+                              pece_solve(linear_decay, [1.0], 0.9, SolverConfig(0.1, 1.0, 2)).states)
+
+    # a nested state, an empty one and a scalar: rejected before the grid or
+    # anything else is allocated, and before rhs is called
+    @pytest.mark.parametrize("x0", [[[1.0, 2.0]], [], 1.0], ids=["nested", "empty", "scalar"])
+    def test_rejects_x0_not_a_state(self, x0):
+        def rhs(u):
+            raise AssertionError("rhs called")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="x0 must be a non-empty 1-D state"):
+                pece_solve(rhs, x0, 0.9, SolverConfig(step=0.001, horizon=1000.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):

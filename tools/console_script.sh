@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# The console-script checks of the tier1 CI job: exit codes and outputs of
+# the CLI on inputs the tests do not run through an installed entry point.
+#
+#   tools/console_script.sh fracprey
+#   tools/console_script.sh python -m fracprey.cli
+#
+# The arguments are the command that runs the CLI.  Outputs go to a fresh
+# temporary directory, removed on exit.  Needs bash and, for the one-CPU
+# reproduce run, taskset.
+set -eo pipefail
+if [ "$#" -eq 0 ]; then
+  echo "usage: $0 COMMAND..." >&2
+  exit 2
+fi
+cli=("$@")
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+"${cli[@]}" --help
+"${cli[@]}" thresholds --r 2.65 --K 898 --alpha 0.045 --h 0.0437 --theta 0.215 --c 0.86 --d 1.06 \
+  --m 0.95 --output "$tmp/t.csv"
+grep -q '^s2,' "$tmp/t.csv"
+# s2 underflows to 0 at r = 100, m = 0.004: a config error, exit 2
+status=0
+"${cli[@]}" thresholds --r 100 --K 898 --alpha 0.045 --h 0.0437 --theta 0.215 --c 0.45 --d 1.06 \
+  --m 0.004 --output "$tmp/u.csv" 2> "$tmp/u.err" || status=$?
+test "$status" -eq 2
+grep -q 'float range' "$tmp/u.err"
+# the gain 2/d of s1 is inf at the smallest subnormal d: exit 2
+status=0
+"${cli[@]}" thresholds --r 2.65 --K 898 --alpha 0.045 --h 0.0437 --theta 0.215 --c 0.45 --d 5e-324 \
+  --m 0.9 --output "$tmp/v.csv" 2> "$tmp/v.err" || status=$?
+test "$status" -eq 2
+grep -q 'float range' "$tmp/v.err"
+# 1 - c1 keeps 7 digits, and the transcritical Jury residual stays within
+# the rounding bound of its entry: the sweep runs, exit 0
+"${cli[@]}" sweep --r 78.0953046065382 --K 166291130.36944187 --alpha 51.40139183153161 \
+  --h 0.000103855858725885 --theta 0.8566894680343942 --c 0.03355198973015889 --d 12.811150260460337 \
+  --m 0.2168728395724311 --s-min 0.1 --s-max 0.2 --n-points 2 --n-samples 2 --transient 2 \
+  --output "$tmp/w.csv"
+grep -q '^param,x,y$' "$tmp/w.csv"
+# x0 on the prey pole x = -1/(alpha (1 - c) h) of the field: a numerical escape, exit 3
+for run in "discrete --s 0.1 --iterations 5" "simulate --step 0.1 --horizon 1"; do
+  status=0
+  "${cli[@]}" $run --r 2.65 --K 898 --alpha 0.045 --h 0.0437 --theta 0.215 --c 0.45 --d 1.06 \
+    --m 0.9 --x0=-924.5775836164851,1 --output "$tmp/p.csv" 2> "$tmp/p.err" || status=$?
+  test "$status" -eq 3
+  if grep -q 'Traceback' "$tmp/p.err"; then exit 1; fi
+done
+# reproduce writes one directory of 11 files; summary.csv has 37 rows under its header
+"${cli[@]}" reproduce --output "$tmp/repro" > /dev/null
+set -- "$tmp"/repro/reproduce-*
+test "$#" -eq 1
+test "$(ls "$1" | wc -l)" -eq 11
+test "$(wc -l < "$1/summary.csv")" -eq 38
+# on one usable CPU every analysis runs in the calling process: the same bytes
+taskset -c 0 "${cli[@]}" reproduce --output "$tmp/repro1" > /dev/null
+diff -r "$1" "$tmp"/repro1/reproduce-*
+echo "console script checks passed: ${cli[*]}"
