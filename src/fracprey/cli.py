@@ -10,14 +10,14 @@ MODES gives each mode its runner and its required and optional keys.
 Defaults are the library's own: a runner passes on only the options a run
 set.  Besides the order m, checked as soon as the config is read, the CLI
 checks only the values it builds itself: the x0 bound and the region grid's
-count, budget and finite ends.  Every other range check is the library's,
-and a ValueError the library raises ends the run like a malformed config
-does.
+count, budget and finite ends.  Every other range check is the library's.
+run() is the one place where an error becomes an exit line: a ValueError
+the library raises ends the run like a malformed config does.
 
-`reproduce` runs its eight file-writing analyses as a table of jobs on one
-forked worker process per usable CPU, while this process computes the
-summary; each job writes its own CSV, so the files hold the same bytes for
-any worker count, and a failing job ends the run as it would in-process.
+`reproduce` computes its summary here, then runs its eight file-writing
+analyses as a table of jobs on one forked worker process per usable CPU;
+each job writes its own CSV, so the files hold the same bytes for any
+worker count, and a failing job ends the run as it would in-process.
 
 Exit codes: 0 success, 2 config/domain error, 3 numerical escape, a failed
 numerical check or a `reproduce` summary row outside its tolerance, 4
@@ -44,7 +44,7 @@ from .discrete import (
     step_thresholds,
 )
 from .model import ModelParams, equilibria, interior_point, jacobian, thresholds, vector_field
-from .pece import ESCAPE_BOUND, SolverConfig, SolverDivergenceError, _check_budget, pece_solve
+from .pece import ESCAPE_BOUND, SolverConfig, SolverDivergenceError, _check_budget, _check_count, pece_solve
 from .special import _check_order
 from .stability import classify_equilibria, critical_order, global_stability_check
 
@@ -330,14 +330,14 @@ def _given(cfg: RunConfig, *keys) -> dict:
     return {key: getattr(cfg, key) for key in keys if getattr(cfg, key) is not None}
 
 
+def _series_job(path, p: ModelParams, x0, m: float, solver: SolverConfig) -> None:
+    """Write the PECE series of the model at p from x0 at order m."""
+    write_csv(path, *export_series(pece_solve(vector_field(p), x0, m, solver)))
+
+
 def _run_simulate(cfg: RunConfig) -> int:
     solver = SolverConfig(step=cfg.step, horizon=cfg.horizon, **_given(cfg, "corrector_sweeps"))
-    try:
-        traj = pece_solve(vector_field(cfg.params), cfg.x0, cfg.m, solver)
-    except SolverDivergenceError as exc:
-        print(f"numerical escape: {exc}", file=sys.stderr)
-        return 3
-    write_csv(cfg.output or "simulate.csv", *export_series(traj))
+    _series_job(cfg.output or "simulate.csv", cfg.params, cfg.x0, cfg.m, solver)
     return 0
 
 
@@ -371,8 +371,7 @@ def _run_sweep(cfg: RunConfig) -> int:
 
 
 def _run_region(cfg: RunConfig) -> int:
-    if cfg.c_points < 1:
-        raise ValueError(f"c_points must be >= 1, got {cfg.c_points!r}")
+    _check_count("c_points", cfg.c_points, 1)
     _check_budget(cfg.c_points, f"region grid of {cfg.c_points} points")
     for key in ("c_min", "c_max"):
         if not math.isfinite(getattr(cfg, key)):
@@ -432,12 +431,6 @@ def _within(expected: float, value: float, tol: tuple) -> bool:
     return abs(value - expected) <= max(rel * abs(expected), abs_tol)
 
 
-def _series_job(path, p: ModelParams, x0, m: float, horizon: float) -> None:
-    """Write the PECE series of the model at p from x0 at order m."""
-    traj = pece_solve(vector_field(p), x0, m, SolverConfig(step=0.05, horizon=horizon))
-    write_csv(path, *export_series(traj))
-
-
 def _sweep_job(path, p: ModelParams, s_min: float, s_max: float) -> None:
     """Write the map's step-size sweep at p and m = 0.95 over [s_min, s_max]."""
     sweep = sweep_step_size(p, 0.95, s_min, s_max, 31, transient=3000, n_samples=120, kick=1e-3)
@@ -454,17 +447,18 @@ def _reproduce_jobs(outdir: Path, p86: ModelParams, p45: ModelParams, p05: Model
     """The file-writing analyses of reproduce as (job, path, *arguments),
     longest first, so that the last job a worker takes is a short one."""
     start = np.array(interior_point(p05)) + 1.0
+    solver = {horizon: SolverConfig(step=0.05, horizon=horizon) for horizon in (80.0, 150.0, 300.0)}
     predator_free = [
         (_series_job, outdir / f"predator_free_series_m{int(round(m * 100)):03d}.csv",
-         p86, DEFAULT_X0, m, 80.0)
+         p86, DEFAULT_X0, m, solver[80.0])
         for m in (0.8, 0.95, 1.0)
     ]
     return [
         (_sweep_job, outdir / "interior_sweep.csv", p45, 0.10, 0.55),
-        (_series_job, outdir / "order_stable_series.csv", p05, start, 0.95, 300.0),
-        (_series_job, outdir / "order_unstable_series.csv", p05, start, 0.995, 300.0),
+        (_series_job, outdir / "order_stable_series.csv", p05, start, 0.95, solver[300.0]),
+        (_series_job, outdir / "order_unstable_series.csv", p05, start, 0.995, solver[300.0]),
         (_sweep_job, outdir / "predator_free_sweep.csv", p86, 0.60, 0.85),
-        (_series_job, outdir / "interior_series_m090.csv", p45, DEFAULT_X0, 0.9, 150.0),
+        (_series_job, outdir / "interior_series_m090.csv", p45, DEFAULT_X0, 0.9, solver[150.0]),
         *predator_free,
         (_region_job, outdir / "stability_region.csv", p05),
     ]
@@ -478,15 +472,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_jobs(jobs: list, local: Callable):
-    """Run every (job, *arguments) of jobs and local(); return local's result.
+def _call(job) -> None:
+    """Run one (job, *arguments) of a job table."""
+    job[0](*job[1:])
 
-    The jobs run on min(len(jobs), usable CPUs) forked workers while local
-    runs here.  Their results are then read in table order, so the first job
-    that failed raises its own exception here; the pending jobs are
-    cancelled, and every worker has exited on return.  A forked worker
-    inherits this module's bindings and imports nothing.  With one usable
-    CPU, or no fork start method, local and then each job run here in order.
+
+def _run_jobs(jobs: list) -> None:
+    """Run every (job, *arguments) of jobs.
+
+    The jobs run on min(len(jobs), usable CPUs) forked workers, and their
+    results are read in table order: the first job that failed raises its
+    own exception here, the jobs not yet started are cancelled, and every
+    worker has exited on return.  A forked worker inherits this module's
+    bindings and imports nothing.  With one usable CPU, or no fork start
+    method, the jobs run here in order.
     """
     workers = min(len(jobs), _usable_cpus())
     if workers > 1:
@@ -495,19 +494,11 @@ def _run_jobs(jobs: list, local: Callable):
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                futures = [pool.submit(*job) for job in jobs]
-                result = local()
-                for future in futures:
-                    future.result()
-            finally:
-                pool.shutdown(cancel_futures=True)
-            return result
-    result = local()
-    for job, *args in jobs:
-        job(*args)
-    return result
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                list(pool.map(_call, jobs))
+            return
+    for job in jobs:
+        _call(job)
 
 
 def _reference_summary(outdir: Path, p86: ModelParams, p45: ModelParams, p05: ModelParams):
@@ -560,9 +551,8 @@ def _run_reproduce(cfg: RunConfig) -> int:
     p86 = ModelParams(**_REFERENCE_PARAMS)
     p45 = replace(p86, c=0.45)
     p05 = replace(p86, c=0.05)
-    summary, passed = _run_jobs(
-        _reproduce_jobs(outdir, p86, p45, p05), lambda: _reference_summary(outdir, p86, p45, p05)
-    )
+    summary, passed = _reference_summary(outdir, p86, p45, p05)
+    _run_jobs(_reproduce_jobs(outdir, p86, p45, p05))
 
     write_csv(outdir / "summary.csv", ("name", "expected", "computed", "abs_diff"), summary)
     width = max(len(name) for name, *_ in summary)
@@ -620,6 +610,10 @@ def run(cfg: RunConfig) -> int:
         # the normal-form preconditions) rejected the input
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SolverDivergenceError as exc:
+        # a simulate run or a reproduce series left ESCAPE_BOUND
+        print(f"numerical escape: {exc}", file=sys.stderr)
+        return 3
     except RuntimeError as exc:
         # a numerical self-check failed at valid parameters, such as a
         # bifurcation's Jury residual beyond its rounding bound

@@ -67,9 +67,10 @@ class NormalFormPreconditionError(ValueError):
 
 
 def map_gain(s: float, m: float) -> float:
-    """Per-step gain S = s^m / (m Gamma(m))."""
-    if not s > 0:
-        raise ValueError(f"step size must be > 0, got {s!r}")
+    """Per-step gain S = s^m / (m Gamma(m)); the package's one check of a
+    step size s and order m of the map."""
+    if not 0 < s < math.inf:
+        raise ValueError(f"step size must satisfy 0 < s < inf, got {s!r}")
     _check_order(m)
     return s**m / gamma_fn(m + 1.0)
 
@@ -103,9 +104,7 @@ class DiscreteConfig:
     transient: int = 0
 
     def __post_init__(self):
-        if not 0 < self.s < math.inf:
-            raise ValueError(f"step size must satisfy 0 < s < inf, got {self.s!r}")
-        _check_order(self.m)
+        map_gain(self.s, self.m)
         _check_count("iterations", self.iterations, 1)
         _check_count("transient", self.transient, 0)
         if not self.transient < self.iterations:

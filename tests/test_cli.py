@@ -472,13 +472,19 @@ class TestReproduce:
         assert files[2] == files[1]
 
     def test_job_divergence_exits_3_on_every_path(self, tmp_path, capfd, monkeypatch):
+        # run() maps the error to one line, whether a reproduce job raised it
+        # here, on a worker, or a simulate run did
         def diverging(field, x0, m, cfg):
             raise fracprey.SolverDivergenceError(2.5, [1e13, 0.0])
 
         monkeypatch.setattr(fracprey.cli, "pece_solve", diverging)
         one = self.run_on(1, tmp_path / "1", capfd, monkeypatch)
-        assert one == (3, f"numerical check failed: {fracprey.SolverDivergenceError(2.5, [1e13, 0.0])}\n")
+        assert one == (3, f"numerical escape: {fracprey.SolverDivergenceError(2.5, [1e13, 0.0])}\n")
         assert self.run_on(2, tmp_path / "2", capfd, monkeypatch) == one
+        argv = ("simulate --r 2.65 --K 898 --alpha 0.045 --h 0.0437 --theta 0.215 --c 0.45 "
+                "--d 1.06 --m 0.9 --step 0.1 --horizon 1").split()
+        assert main(argv + ["--output", str(tmp_path / "s.csv")]) == 3
+        assert capfd.readouterr().err == one[1]
 
     def test_job_write_error_exits_4_on_every_path(self, tmp_path, capfd, monkeypatch):
         write_csv = fracprey.cli.write_csv

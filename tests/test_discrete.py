@@ -12,7 +12,9 @@ from fracprey import (
     ModelParams,
     NormalFormPreconditionError,
     OrbitEscapeError,
+    classify_equilibria,
     classify_fixed_points,
+    critical_order,
     detect_structural_bifurcations,
     equilibria,
     hopf_normal_form,
@@ -85,6 +87,21 @@ class TestGain:
             map_gain(0.0, 0.5)
         with pytest.raises(ValueError):
             map_gain(0.1, 1.5)
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan, 0.0, -1.0])
+    def test_one_step_size_rule(self, mid_complexity, s):
+        # an infinite step once gave an infinite gain, and a saddle with NaN
+        # eigenvalues for the interior point
+        message = f"step size must satisfy 0 < s < inf, got {s!r}"
+        for analysis in (
+            lambda: map_gain(s, 0.9),
+            lambda: classify_fixed_points(mid_complexity, s, 0.9),
+            lambda: step_map(mid_complexity, s, 0.9, (250.0, 100.0)),
+            lambda: DiscreteConfig(s=s, m=0.9, iterations=10),
+        ):
+            with pytest.raises(ValueError) as info:
+                analysis()
+            assert str(info.value) == message
 
     def test_inverse_validation(self):
         # a negative gain once gave a real step at m = 0.5 and a complex one at m = 0.3
@@ -703,7 +720,10 @@ class TestStructuralEvents:
     def test_random_draw_passes_checks_and_matches_oracle(self):
         # 2,000 valid sets over the CLI fuzz ranges (test_cli.PARAMS): no
         # residual check raises, and every closed-form modulus agrees with
-        # the differenced map.
+        # the differenced map.  The unit-modulus and argument bands hold: at
+        # s2, at s4 (where G < 2 sqrt(H)) and at m* the point on its threshold
+        # classifies nonhyperbolic, and no report with every modulus more
+        # than 1e-9 from 1 does.
         rng = np.random.default_rng(0)
         for _ in range(2000):
             p = ModelParams(
@@ -719,6 +739,15 @@ class TestStructuralEvents:
                 oracle = np.sort(np.abs(np.linalg.eigvals(jac)))
                 closed = np.sort([abs(e) for e in report.eigenvalues])
                 assert np.max(np.abs(closed - oracle)) <= 1e-5 * closed[-1], (p, m, s, report.kind)
+                if np.all(np.abs(closed - 1.0) > 1e-9):
+                    assert report.classification != "nonhyperbolic", (p, m, s, report.kind)
+            st = step_thresholds(p, m)
+            assert classify_fixed_points(p, st.s2, m)[1].classification == "nonhyperbolic", (p, m)
+            if st.s4 is not None and st.G < 2.0 * math.sqrt(st.H):
+                assert classify_fixed_points(p, st.s4, m)[2].classification == "nonhyperbolic", (p, m)
+            if equilibria(p)[2].exists and critical_order(p).value is not None:
+                m_star = critical_order(p).value
+                assert classify_equilibria(p, m_star)[2].classification == "nonhyperbolic", (p, m_star)
 
 
 def event_key(kind, equilibrium, c, s, residual):
