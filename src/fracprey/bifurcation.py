@@ -139,7 +139,9 @@ def cluster_count(points: np.ndarray) -> int:
     a candidate is a center unless an earlier center of the round is within
     radius of it.  The round then closes every candidate and every row
     within radius of a center; a round of one candidate needs only its row
-    of distances for that.
+    of distances for that.  The open rows are compacted with compress,
+    which keeps them in order at a fraction of the cost of boolean
+    indexing.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     scale = max(float(np.max(np.abs(pts), where=np.isfinite(pts), initial=0.0)), 1e-30)
@@ -169,7 +171,7 @@ def cluster_count(points: np.ndarray) -> int:
                         covered |= int.from_bytes(bits[i].tobytes(), "little")
                 keep, found = ~near[centers].any(axis=0), len(centers)
             keep[:k] = False
-            cols = cols[:, keep]
+            cols = cols.compress(keep, axis=1)
             count += found
     return count
 

@@ -215,16 +215,16 @@ _map_kernel = _compile(
 
     def advance(x, y, start, stop):
         try:
-            for n in range(start + 1, stop + 1):
+            for i in range(2 * start + 2, 2 * stop + 2, 2):
                 capture = {capture}
                 x, y = x + gain * {dx}, y + gain * {dy}
                 # "not <=" also catches NaN and inf
                 if not (abs(x) <= bound and abs(y) <= bound):
-                    return x, y, n
-                flat[2 * n] = x
-                flat[2 * n + 1] = y
+                    return x, y, i // 2
+                flat[i] = x
+                flat[i + 1] = y
         except ZeroDivisionError:
-            return nan, nan, n
+            return nan, nan, i // 2
         return x, y, stop + 1
     return advance
     """,
@@ -233,7 +233,9 @@ _map_kernel = _compile(
     start + 1 to stop from the row (x, y), storing row n at flat[2n],
     flat[2n + 1], and returns (x, y, n).  n <= stop means row n escaped: it
     is non-finite or beyond ESCAPE_BOUND and is returned but not stored;
-    n = stop + 1 means every row was stored.
+    n = stop + 1 means every row was stored.  The loop runs on the flat
+    index i = 2n of the row it computes, storing it at flat[i] and
+    flat[i + 1], and an escape returns the row as n = i // 2.
 
     The field is inlined from its one written source, model._FIELD, with the
     operations of x + gain * dx in its order, so that an iteration makes no

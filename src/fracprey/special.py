@@ -90,7 +90,7 @@ def quad(m: float, x: float) -> float:
     if order != m:
         powers = np.exp(m * _LOG_S)
         _POWERS = (m, powers)
-    fine, coarse = np.dot(_RULES, powers / (powers + x)).real.tolist()
+    fine, coarse = _RULES.dot(powers / (powers + x)).real.tolist()
     if not abs(fine - coarse) <= _TOL:
         raise MittagLefflerError(
             f"contour rule for E_{m}(-{x}) differs from its step-2h rule by "

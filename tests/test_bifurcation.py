@@ -182,6 +182,34 @@ class TestClusterCount:
         with np.errstate(invalid="ignore"):
             assert count == self.greedy_reference(pts) == 2 + 3 + 2
 
+    @pytest.mark.parametrize("layout", ["strided", "fortran", "three_columns", "nan_rows"])
+    def test_layouts_match_greedy_reference(self, layout):
+        # 420 spread-out rows and 480 rows on four tight clusters: the first
+        # round closes one cluster, and a later round takes at most
+        # 65,536 // n of its n open rows as candidates (83 of 785), so
+        # compaction runs four rounds on every layout
+        rng = np.random.default_rng(24)
+        width = 3 if layout == "three_columns" else 2
+        lattice = np.stack(np.meshgrid(*[np.arange(30)] * width), axis=-1).reshape(-1, width)
+        spread = 0.01 * rng.permutation(lattice)[:420] - 4.5 + 1e-3 * rng.uniform(size=(420, width))
+        centers = rng.uniform(-5.0, 5.0, size=(4, width))
+        tight = centers[rng.integers(0, 4, size=480)] + 1e-7 * rng.standard_normal((480, width))
+        pts = rng.permutation(np.concatenate([spread, tight]))
+        if layout == "strided":
+            pts = np.repeat(pts, 3, axis=0)[::3]
+            assert not pts.flags.c_contiguous
+        elif layout == "fortran":
+            pts = np.asfortranarray(pts)
+            assert not pts.flags.c_contiguous
+        elif layout == "nan_rows":
+            pts[rng.choice(900, size=12, replace=False)] = np.nan
+            pts[[5, 500]] = [[np.inf, 1.0], [-np.inf, np.nan]]
+        with np.errstate(invalid="ignore"):
+            expected = self.greedy_reference(pts)
+        # more centers than the first two rounds can found
+        assert expected > 100
+        assert cluster_count(pts) == expected
+
 
 class TestStabilityRegion:
     def test_reference_boundary_point(self, low_complexity):

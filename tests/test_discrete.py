@@ -481,6 +481,18 @@ class TestEscapeRows:
         # the escaping iterate is computed but not kept
         assert orbit.stepped == row - 1
 
+    @pytest.mark.parametrize("iterations, escaped", [(127, False), (128, True), (129, True)])
+    def test_row_128_at_the_orbit_end(self, mid_complexity, iterations, escaped):
+        # the row_128 start escapes on the last row of the second block: 127
+        # iterations end just before that row, 128 end on it and 129 past it
+        x0 = (339.92, 5.0)
+        cfg = DiscreteConfig(s=0.668, m=0.95, iterations=iterations)
+        orbit = iterate_orbit(mid_complexity, cfg, x0)
+        assert_bit_parity(mid_complexity, cfg, x0)
+        assert orbit.escaped is escaped
+        assert len(orbit.states) == 128
+        assert orbit.stepped == 127
+
 
 class TestPole:
     """At the prey pole x = -1/(alpha (1 - c) h) the capture term of the
