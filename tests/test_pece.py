@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import math
@@ -171,10 +172,11 @@ def coupled_field(u):
     return np.array([-0.4 * x + y * z, -0.7 * y - x * z + 0.2, -0.9 * z + 0.5 * x * y])
 
 
-# SHA-256 of states.tobytes() through the generic (ndarray) step loop at
-# m = 0.9 and h = 0.05, by (field, corrector sweeps, n_steps): "decay" is
-# -1.3 u from (1,), "coupled" is coupled_field from (1, -0.5, 0.25); the grids
-# are shorter than, around and well past one block of 64 nodes
+# SHA-256 of states.tobytes() through the loops on named floats of 1 and 3
+# components at m = 0.9 and h = 0.05, by (field, corrector sweeps, n_steps):
+# "decay" is -1.3 u from (1,), "coupled" is coupled_field from (1, -0.5,
+# 0.25); the grids are shorter than, around and well past one block of 64
+# nodes
 GOLDEN_GENERIC_STATES = {
     ("decay", 1, 1): "6399be621b87512ccffa6d2243609e2b46b5eec6e8a2aa085a1b7d2eae62d7c9",
     ("decay", 1, 63): "3eeb76b8bba95358eac7a245243ff2722d4f597c11fe173d001cc4c903035492",
@@ -265,9 +267,52 @@ class TestFieldEntry:
         assert np.array_equal(fast.state, plain.state, equal_nan=True)
 
 
+def list_steps(rhs, anchor, c_pred, c_corr, sweeps, h, states, rates, hist, tails, in_sums):
+    """The block loop of any rhs, per component on lists of floats: the
+    tests' bit reference for the package's step loops, written apart from
+    them.  It keeps their ndarray contract: it hands rhs a fresh array and
+    stores what rhs returns into the node's rate row, which casts and
+    broadcasts it, and it writes a block's states in one store."""
+
+    def steps(start, stop):
+        block_rates = rates[start:stop]
+        block_states = []
+        rows = zip(range(start, stop), hist[start:stop].tolist(), tails)
+        try:
+            for (i, (out_pred, out_corr), tail), row in zip(rows, block_rates):
+                in_pred, in_corr = tail.dot(block_rates[: i - start], in_sums).tolist()
+                value = [u + c_pred * (o + n) for u, o, n in zip(anchor, out_pred, in_pred)]
+                corr_sums = [o + n for o, n in zip(out_corr, in_corr)]
+                for _ in range(sweeps):
+                    # the row store casts and broadcasts the rate as rates[0] does
+                    row[...] = rhs(np.array(value))
+                    value = [u + c_corr * (f + s) for u, f, s in zip(anchor, row.tolist(), corr_sums)]
+
+                for v in value:
+                    # "not <=" also catches NaN and inf
+                    if not abs(v) <= ESCAPE_BOUND:
+                        raise SolverDivergenceError(i * h, value)
+                block_states.append(value)
+                row[...] = rhs(np.array(value))
+        except ZeroDivisionError:
+            raise SolverDivergenceError(i * h, value) from None
+        states[start:stop] = block_states
+
+    return steps
+
+
+@contextlib.contextmanager
+def list_loop():
+    """Inside, pece_solve steps every rhs but the model's field with list_steps."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pece, "_MAX_NAMED", 0)
+        patch.setattr(pece, "_vector_steps", list_steps)
+        yield
+
+
 class TestPairLoop:
-    # the model's loop, compiled with the field inlined, against the generic
-    # loop on the tests' own field, written independently of the template
+    # the model's loop, compiled with the field inlined, against list_steps
+    # on the tests' own field, both written apart from the template
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(
         params=st.fixed_dictionaries(PARAMS),
@@ -280,31 +325,30 @@ class TestPairLoop:
     def test_matches_generic_loop_on_reference_field(self, params, m, sweeps, n_steps, step, x0):
         p = ModelParams(**params)
         cfg = SolverConfig(step=step, horizon=step * n_steps, corrector_sweeps=sweeps)
-        outcomes = []
-        for rhs in (vector_field(p), lambda u: reference_rates(p, float(u[0]), float(u[1]))):
-            try:
-                outcomes.append(pece_solve(rhs, x0, m, cfg).states)
-            except SolverDivergenceError as exc:
-                outcomes.append(exc)
-        fast, generic = outcomes
-        assert type(fast) is type(generic)
-        if isinstance(generic, SolverDivergenceError):
-            assert fast.t == generic.t
-            fast, generic = fast.state, generic.state
-        assert fast.shape == generic.shape
-        assert np.array_equal(fast.view(np.int64), generic.view(np.int64))
+        fast = solve_outcome(vector_field(p), x0, m, cfg)
+        with list_loop():
+            reference = solve_outcome(lambda u: reference_rates(p, float(u[0]), float(u[1])), x0, m, cfg)
+        assert_same_outcome(fast, reference)
 
 
 def random_field(kind, linear, quadratic, level):
     """A nonlinear field on n components, independent of the package.  "poly"
     couples each component to its neighbour quadratically; "trig" feeds the
     linear part through sin; "divide" divides every rate, on Python floats,
-    by 1 while u[0] > level and by 0 from there on (ZeroDivisionError)."""
+    by 1 while u[0] > level and by 0 from there on (ZeroDivisionError), and
+    doubles its argument first: the divergence must report the state as rhs
+    got it."""
     if kind == "poly":
         return lambda u: linear @ u + quadratic * u * np.roll(u, 1)
     if kind == "trig":
         return lambda u: np.sin(linear @ u) + quadratic * u
-    return lambda u: [float(v) / float(u[0] > level) for v in linear @ u]
+
+    def divide(u):
+        rates, divisor = linear @ u, float(u[0] > level)
+        u *= 2.0
+        return [float(v) / divisor for v in rates]
+
+    return divide
 
 
 def solve_outcome(rhs, x0, m, cfg):
@@ -339,9 +383,8 @@ def steps_code(rhs, x0, cfg):
 
 
 class TestNamedLoop:
-    # the loops on named floats against _generic_steps, which runs every
-    # size when the bound is 0; one size above the bound runs the generic
-    # loop both times
+    # the loops on named floats, and the vector loop one size above them,
+    # against list_steps
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(
         data=st.data(),
@@ -358,27 +401,27 @@ class TestNamedLoop:
         field = random_field(kind, linear, values(n, -0.3, 0.3), data.draw(st.floats(-1.0, 1.0)))
         x0 = values(n, -2.0, 2.0)
         cfg = SolverConfig(step=step, horizon=step * n_steps, corrector_sweeps=sweeps)
-        named = solve_outcome(field, x0, m, cfg)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pece, "_MAX_NAMED", 0)
-            generic = solve_outcome(field, x0, m, cfg)
-        assert_same_outcome(named, generic)
+        fast = solve_outcome(field, x0, m, cfg)
+        with list_loop():
+            reference = solve_outcome(field, x0, m, cfg)
+        assert_same_outcome(fast, reference)
 
     def test_zero_divisor_field_raises_in_both_loops(self):
-        # the "divide" field of the test above reaches its zero divisor
-        field = random_field("divide", -np.eye(2), None, 0.5)
-        outcomes = []
-        for bound in (pece._MAX_NAMED, 0):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(pece, "_MAX_NAMED", bound)
-                outcomes.append(solve_outcome(field, [1.0, 1.0], 0.9, SolverConfig(step=0.05, horizon=10.0)))
-        assert isinstance(outcomes[0], SolverDivergenceError)
-        assert outcomes[0].t == pytest.approx(0.65, abs=1e-12)
-        assert_same_outcome(*outcomes)
+        # the "divide" field of the test above reaches its zero divisor, in
+        # a loop on named floats and in the vector loop
+        cfg = SolverConfig(step=0.05, horizon=10.0)
+        for n in (2, 40):
+            field = random_field("divide", -np.eye(n), None, 0.5)
+            fast = solve_outcome(field, np.ones(n), 0.9, cfg)
+            with list_loop():
+                reference = solve_outcome(field, np.ones(n), 0.9, cfg)
+            assert isinstance(fast, SolverDivergenceError)
+            assert fast.t == pytest.approx(0.65, abs=1e-12)
+            assert_same_outcome(fast, reference)
 
     # rates that are not a float64 array of the state's shape: the row store
-    # casts and broadcasts them, in both loops alike
-    @pytest.mark.parametrize("n", [1, 3, pece._MAX_NAMED + 1])
+    # casts and broadcasts them, in every loop alike
+    @pytest.mark.parametrize("n", [1, 3, pece._MAX_NAMED + 1, 40, 200])
     @pytest.mark.parametrize(
         "rate,expected",
         [
@@ -394,11 +437,10 @@ class TestNamedLoop:
         cfg = SolverConfig(step=0.1, horizon=10.0, corrector_sweeps=2)
         reference = pece_solve(expected, x0, 0.9, cfg).states
         assert np.array_equal(pece_solve(rate, x0, 0.9, cfg).states, reference)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pece, "_MAX_NAMED", 0)
+        with list_loop():
             assert np.array_equal(pece_solve(rate, x0, 0.9, cfg).states, reference)
 
-    @pytest.mark.parametrize("n", [1, 3, pece._MAX_NAMED + 1])
+    @pytest.mark.parametrize("n", [1, 3, pece._MAX_NAMED + 1, 40, 200])
     def test_rhs_may_mutate_its_argument(self, n):
         def doubling(u):
             u *= 2.0
@@ -408,8 +450,10 @@ class TestNamedLoop:
         cfg = SolverConfig(step=0.05, horizon=5.0, corrector_sweeps=2)
         reference = pece_solve(lambda u: -2.0 * u, x0, 0.9, cfg).states
         assert np.array_equal(pece_solve(doubling, x0, 0.9, cfg).states, reference)
+        # node 0's rhs call gets a copy of x0, not x0 itself
+        assert np.array_equal(x0, np.linspace(1.0, 2.0, n))
 
-    @pytest.mark.parametrize("n", [1, 3, pece._MAX_NAMED + 1])
+    @pytest.mark.parametrize("n", [1, 3, pece._MAX_NAMED + 1, 40, 200])
     def test_rhs_may_keep_its_argument(self, n):
         # every call gets an array of its own: with one sweep the calls
         # alternate predictor and final state, and the kept final states are
