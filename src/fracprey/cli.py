@@ -15,9 +15,10 @@ run() is the one place where an error becomes an exit line: a ValueError
 the library raises ends the run like a malformed config does.
 
 `reproduce` computes its summary here, then runs its eight file-writing
-analyses as a table of jobs on one forked worker process per usable CPU;
-each job writes its own CSV, so the files hold the same bytes for any
-worker count, and a failing job ends the run as it would in-process.
+analyses as a table of jobs, taken in table order by the calling process
+and one forked child per further usable CPU; each job writes its own CSV,
+so the files hold the same bytes for any process count, and a failing job
+ends the run as it would in-process.
 
 Exit codes: 0 success, 2 config/domain error, 3 numerical escape, a failed
 numerical check or a `reproduce` summary row outside its tolerance, 4
@@ -27,8 +28,10 @@ unwritable output path.
 import argparse
 import math
 import os
+import pickle
 import sys
 import time
+import warnings
 from dataclasses import make_dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
@@ -445,7 +448,7 @@ def _region_job(path, p: ModelParams) -> None:
 
 def _reproduce_jobs(outdir: Path, p86: ModelParams, p45: ModelParams, p05: ModelParams) -> list:
     """The file-writing analyses of reproduce as (job, path, *arguments),
-    longest first, so that the last job a worker takes is a short one."""
+    longest first, so that the last job a process takes is a short one."""
     start = np.array(interior_point(p05)) + 1.0
     solver = {horizon: SolverConfig(step=0.05, horizon=horizon) for horizon in (80.0, 150.0, 300.0)}
     predator_free = [
@@ -472,33 +475,105 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _call(job) -> None:
-    """Run one (job, *arguments) of a job table."""
-    job[0](*job[1:])
+def _take_jobs(jobs: list, queue: int):
+    """Run the jobs whose indices this process reads from queue, one byte a
+    job, until the queue is empty.  Returns None, or (index, exception) of
+    the job that failed, after reading the rest of the queue: no process
+    starts a further job."""
+    while ticket := os.read(queue, 1):
+        job = jobs[ticket[0]]
+        try:
+            job[0](*job[1:])
+        except Exception as exc:
+            while os.read(queue, 256):
+                pass
+            return ticket[0], exc
+    return None
+
+
+def _report(index: int, exc: Exception) -> bytes:
+    """(index, exc) pickled.  An exception that does not survive the round
+    trip goes as a RuntimeError naming it, so that run() still ends the run
+    with one line."""
+    try:
+        report = pickle.dumps((index, exc))
+        pickle.loads(report)
+        return report
+    except Exception:
+        return pickle.dumps((index, RuntimeError(f"{type(exc).__name__}: {exc}")))
+
+
+def _work(jobs: list, queue: int, report_fd: int) -> None:
+    """A forked child: take jobs from queue, write the failure, if any, to
+    report_fd, and end in os._exit, never returning into the caller's stack."""
+    code = 1
+    try:
+        failure = _take_jobs(jobs, queue)
+        with open(report_fd, "wb") as report:
+            if failure is not None:
+                report.write(_report(*failure))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _run_jobs(jobs: list) -> None:
-    """Run every (job, *arguments) of jobs.
+    """Run every (job, *arguments) of jobs, a table of at most 256.
 
-    The jobs run on min(len(jobs), usable CPUs) forked workers, and their
-    results are read in table order: the first job that failed raises its
-    own exception here, the jobs not yet started are cancelled, and every
-    worker has exited on return.  A forked worker inherits this module's
-    bindings and imports nothing.  With one usable CPU, or no fork start
-    method, the jobs run here in order.
+    This process and one forked child per further usable CPU, up to one
+    process a job, take job indices in table order from one pipe, a byte
+    each.  A process whose job fails empties the pipe, so no further job
+    starts; a child sends its failure, pickled, on a pipe of its own.  Once
+    every child has reported and exited, the failure with the lowest table
+    index is raised here, the job's own exception; a child that ended
+    without a report raises RuntimeError, ranked after every reported
+    failure, since the job it ran is unknown.  A child inherits this
+    process's modules and imports nothing.  With one usable CPU, or no
+    os.fork, the jobs run here in order.
     """
-    workers = min(len(jobs), _usable_cpus())
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                list(pool.map(_call, jobs))
-            return
-    for job in jobs:
-        _call(job)
+    processes = min(len(jobs), _usable_cpus())
+    if processes < 2 or not hasattr(os, "fork"):
+        for job in jobs:
+            job[0](*job[1:])
+        return
+    queue, tickets = os.pipe()
+    os.write(tickets, bytes(range(len(jobs))))
+    os.close(tickets)
+    children, failures = [], []
+    try:
+        for _ in range(processes - 1):
+            report, report_end = os.pipe()
+            with warnings.catch_warnings():
+                # from Python 3.12 on os.fork warns whenever the process has
+                # threads, numpy's BLAS pool among them, and shows it when
+                # called from __main__ (python -m fracprey.cli).  A child runs
+                # only jobs and ends in os._exit, as a multiprocessing fork
+                # worker does, whose fork hides the warning by default.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _work(jobs, queue, report_end)
+            os.close(report_end)
+            children.append((pid, report))
+        failures.append(_take_jobs(jobs, queue))
+    finally:
+        while os.read(queue, 256):
+            pass
+        os.close(queue)
+        reports = []
+        for _, report in children:
+            with open(report, "rb") as pipe:
+                reports.append(pipe.read())
+        for (pid, _), report in zip(children, reports):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if report:
+                failures.append(pickle.loads(report))
+            elif code:
+                error = RuntimeError(f"a job process ended without a report, exit code {code}")
+                failures.append((len(jobs), error))
+    failures = [failure for failure in failures if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
 
 def _reference_summary(outdir: Path, p86: ModelParams, p45: ModelParams, p05: ModelParams):

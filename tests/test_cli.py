@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -55,6 +57,21 @@ def read_csv(path):
 def name_value(path):
     _, rows = read_csv(path)
     return {row[0]: row[1] for row in rows}
+
+
+def assert_no_children():
+    """This process has no child process left, running or unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def wait_for(condition, timeout=30.0):
+    """Poll condition() until it holds; fails after timeout seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
 
 
 class TestParseConfig:
@@ -455,11 +472,11 @@ class TestReproduce:
     @staticmethod
     def run_on(cpus, out, capfd, monkeypatch):
         """reproduce with cpus usable CPUs: one runs every analysis in this
-        process, more run them on workers.  Returns (exit code, stderr), the
-        workers' own writes to file descriptor 2 included."""
+        process, more share them with forked children.  Returns (exit code,
+        stderr), the children's own writes to file descriptor 2 included."""
         monkeypatch.setattr(fracprey.cli, "_usable_cpus", lambda: cpus)
         code = main(["reproduce", "--output", str(out)])
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         return code, capfd.readouterr().err
 
     def test_workers_write_the_same_bytes(self, tmp_path, capfd, monkeypatch):
@@ -473,7 +490,7 @@ class TestReproduce:
 
     def test_job_divergence_exits_3_on_every_path(self, tmp_path, capfd, monkeypatch):
         # run() maps the error to one line, whether a reproduce job raised it
-        # here, on a worker, or a simulate run did
+        # here, in a child, or a simulate run did
         def diverging(field, x0, m, cfg):
             raise fracprey.SolverDivergenceError(2.5, [1e13, 0.0])
 
@@ -522,6 +539,151 @@ class TestReproduce:
         assert list(tmp_path.iterdir()) == [config]
         with pytest.raises(ConfigError, match="line 2: key 'c' is not valid for mode reproduce"):
             parse_config("mode = reproduce\nc = 0.3\n")
+
+    def test_fresh_process_loads_no_pool(self, tmp_path):
+        # python -m fracprey.cli reproduce with one more live thread: from
+        # Python 3.12 on, a fork in a threaded __main__ module warns on stderr
+        script = (
+            "import runpy, sys, threading\n"
+            "threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
+            "sys.argv[1:] = ['reproduce', '--output', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('fracprey.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit:\n"
+            "    print(sorted({'concurrent.futures', 'multiprocessing'} & sys.modules.keys()))\n"
+            "    raise\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fracprey.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "[]"
+        (outdir,) = tmp_path.glob("reproduce-*")
+        assert len(list(outdir.iterdir())) == 11
+
+
+class Unpicklable(ValueError):
+    """Holds a lock: pickle.dumps fails."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class TestRunJobs:
+    # _run_jobs on small tables.  A job leaves a file in a log directory,
+    # named by its index and holding its process id, since a child's memory
+    # dies with it; open(..., "x") fails on a second start of an index
+    @staticmethod
+    def start(log, index):
+        with open(log / str(index), "x") as fh:
+            fh.write(str(os.getpid()))
+
+    @staticmethod
+    def starts(log):
+        return {int(f.name): int(f.read_text()) for f in log.iterdir()}
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_job_runs_once(self, tmp_path, monkeypatch, cpus):
+        def job(index):
+            self.start(tmp_path, index)
+            time.sleep(0.002)
+
+        monkeypatch.setattr(fracprey.cli, "_usable_cpus", lambda: cpus)
+        fracprey.cli._run_jobs([(job, index) for index in range(9)])
+        assert_no_children()
+        starts = self.starts(tmp_path)
+        assert sorted(starts) == list(range(9))
+        assert len(set(starts.values())) <= cpus
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_lowest_index_failure_raised(self, tmp_path, monkeypatch, cpus):
+        # every process takes one job and waits until all have one, so that
+        # the parent and each child fail; job 0 fails last
+        parent = os.getpid()
+
+        def job(log, index):
+            self.start(log, index)
+            wait_for(lambda: len(list(log.iterdir())) == cpus)
+            time.sleep(0.05 if index == 0 else 0.0)
+            raise ValueError(f"job {index} in {'the parent' if os.getpid() == parent else 'a child'}")
+
+        monkeypatch.setattr(fracprey.cli, "_usable_cpus", lambda: cpus)
+        for attempt in range(4):
+            log = tmp_path / str(attempt)
+            log.mkdir()
+            with pytest.raises(ValueError) as failure:
+                fracprey.cli._run_jobs([(job, log, index) for index in range(9)])
+            assert_no_children()
+            # the jobs after the failed ones never started
+            starts = self.starts(log)
+            assert sorted(starts) == list(range(cpus))
+            assert parent in starts.values() and len(set(starts.values())) == cpus
+            assert str(failure.value) == f"job 0 in {'the parent' if starts[0] == parent else 'a child'}"
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_failure_cancels_the_jobs_not_started(self, tmp_path, monkeypatch, cpus):
+        # a child fails the first job it takes, while a job of the parent
+        # waits until a failed child has exited, which it does only after
+        # emptying the queue: the parent starts no other job
+        parent, log, failed = os.getpid(), tmp_path / "log", tmp_path / "failed"
+        log.mkdir()
+
+        def job(index):
+            self.start(log, index)
+            if os.getpid() != parent:
+                # the pid is written in full before failed exists
+                mine = tmp_path / str(os.getpid())
+                mine.write_text(str(os.getpid()))
+                os.replace(mine, failed)
+                raise ValueError(f"job {index}")
+            wait_for(failed.exists)
+            # WNOWAIT leaves the child for _run_jobs to reap
+            os.waitid(os.P_PID, int(failed.read_text()), os.WEXITED | os.WNOWAIT)
+
+        monkeypatch.setattr(fracprey.cli, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError) as failure:
+            fracprey.cli._run_jobs([(job, index) for index in range(9)])
+        assert_no_children()
+        starts = self.starts(log)
+        assert len(starts) <= cpus and list(starts.values()).count(parent) <= 1
+        assert str(failure.value) == f"job {min(i for i, pid in starts.items() if pid != parent)}"
+
+    def reproduce_with(self, table, cpus, tmp_path, capfd, monkeypatch):
+        """reproduce with its job table replaced by table: (exit code, stderr)."""
+        monkeypatch.setattr(fracprey.cli, "_reproduce_jobs", lambda outdir, *params: table)
+        return TestReproduce.run_on(cpus, tmp_path / f"out{cpus}", capfd, monkeypatch)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_child_exit_without_report(self, tmp_path, capfd, monkeypatch, cpus):
+        # a child that takes a job ends there; the parent waits until one has
+        parent, taken = os.getpid(), tmp_path / "taken"
+
+        def job():
+            if os.getpid() == parent:
+                wait_for(taken.exists)
+            else:
+                taken.touch()
+                os._exit(7)
+
+        assert self.reproduce_with([(job,)] * 4, cpus, tmp_path, capfd, monkeypatch) == (
+            3, "numerical check failed: a job process ended without a report, exit code 7\n")
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_unpicklable_failure_ends_in_one_line(self, tmp_path, capfd, monkeypatch, cpus):
+        # the parent's jobs wait until a child raised an exception that does
+        # not pickle: the child sends a RuntimeError naming it instead
+        parent, raised = os.getpid(), tmp_path / "raised"
+
+        def job():
+            if os.getpid() == parent:
+                wait_for(raised.exists)
+                return
+            raised.touch()
+            raise Unpicklable("no pickle")
+
+        assert self.reproduce_with([(job,)] * 4, cpus, tmp_path, capfd, monkeypatch) == (
+            3, "numerical check failed: Unpicklable: no pickle\n")
 
 
 PARAM_FLAGS = ["--r", "2.65", "--K", "898", "--alpha", "0.045", "--h", "0.0437",

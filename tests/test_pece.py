@@ -668,7 +668,7 @@ def package_exceptions():
 
 
 class TestPickle:
-    # a worker process sends the exception a job raised back through pickle
+    # a reproduce child process sends the exception a job raised back through pickle
     @pytest.mark.parametrize("cls", package_exceptions(), ids=lambda cls: cls.__name__)
     def test_exception_round_trip(self, cls):
         exc = cls(1.5, [1.0, math.inf]) if cls is SolverDivergenceError else cls("message")
@@ -796,7 +796,7 @@ class TestNoScipy:
 
     def test_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(fracprey.__file__)))
-        # nor the process-pool modules, which only a reproduce run with workers imports
+        # nor the process-pool modules
         code = ("import sys, fracprey, fracprey.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

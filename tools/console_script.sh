@@ -48,13 +48,21 @@ for run in "discrete --s 0.1 --iterations 5" "simulate --step 0.1 --horizon 1"; 
   test "$status" -eq 3
   if grep -q 'Traceback' "$tmp/p.err"; then exit 1; fi
 done
-# reproduce writes one directory of 11 files; summary.csv has 37 rows under its header
-"${cli[@]}" reproduce --output "$tmp/repro" > /dev/null
+# reproduce exits 0 and writes one directory of 11 files; summary.csv has 37
+# rows under its header
+status=0
+"${cli[@]}" reproduce --output "$tmp/repro" > "$tmp/repro.out" || status=$?
+test "$status" -eq 0
 set -- "$tmp"/repro/reproduce-*
 test "$#" -eq 1
 test "$(ls "$1" | wc -l)" -eq 11
 test "$(wc -l < "$1/summary.csv")" -eq 38
-# on one usable CPU every analysis runs in the calling process: the same bytes
-taskset -c 0 "${cli[@]}" reproduce --output "$tmp/repro1" > /dev/null
+# on one usable CPU every analysis runs in the calling process: the same
+# files, the same report on stdout after its first line (the output path),
+# and the same exit status
+status1=0
+taskset -c 0 "${cli[@]}" reproduce --output "$tmp/repro1" > "$tmp/repro1.out" || status1=$?
+test "$status1" -eq "$status"
+diff <(tail -n +2 "$tmp/repro.out") <(tail -n +2 "$tmp/repro1.out")
 diff -r "$1" "$tmp"/repro1/reproduce-*
 echo "console script checks passed: ${cli[*]}"
