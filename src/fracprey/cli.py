@@ -17,8 +17,9 @@ the library raises ends the run like a malformed config does.
 `reproduce` computes its summary here, then runs its eight file-writing
 analyses as a table of jobs, taken in table order by the calling process
 and one forked child per further usable CPU; each job writes its own CSV,
-so the files hold the same bytes for any process count, and a failing job
-ends the run as it would in-process.
+so the files hold the same bytes for any process count.  `simulate`,
+`sweep` and `region` write through the same jobs, so each series, sweep
+or region file of reproduce is that mode's output at its row's arguments.
 
 Exit codes: 0 success, 2 config/domain error, 3 numerical escape, a failed
 numerical check or a `reproduce` summary row outside its tolerance, 4
@@ -158,12 +159,6 @@ def write_csv(path, columns, rows) -> None:
         else:
             for row in rows:
                 fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-def _sweep_rows(result) -> np.ndarray:
-    """(param, x, y) float table of a step-size sweep."""
-    counts = [len(block) for block in result.samples]
-    return np.column_stack((np.repeat(result.parameter_values, counts), np.concatenate(result.samples)))
 
 
 # --- config parsing ---------------------------------------------------------
@@ -354,23 +349,32 @@ def _run_discrete(cfg: RunConfig) -> int:
     return 0
 
 
+def _sweep_job(path, p: ModelParams, m: float, s_min: float, s_max: float, n_points: int, options: dict):
+    """Write the map's step-size sweep of p at order m, n_points steps over
+    [s_min, s_max] with options passed on, as (param, x, y) rows; return it."""
+    result = sweep_step_size(p, m, s_min, s_max, n_points, **options)
+    counts = [len(block) for block in result.samples]
+    rows = np.column_stack((np.repeat(result.parameter_values, counts), np.concatenate(result.samples)))
+    write_csv(path, ("param", "x", "y"), rows)
+    return result
+
+
 def _run_sweep(cfg: RunConfig) -> int:
-    result = sweep_step_size(
-        cfg.params,
-        cfg.m,
-        cfg.s_min,
-        cfg.s_max,
-        cfg.n_points,
-        x0=cfg.x0,
-        **_given(cfg, "transient", "n_samples", "follow", "kick"),
-    )
+    result = _sweep_job(cfg.output or "sweep.csv", cfg.params, cfg.m, cfg.s_min, cfg.s_max, cfg.n_points,
+                        _given(cfg, "x0", "transient", "n_samples", "follow", "kick"))
     for value, escaped in zip(result.parameter_values, result.escaped):
         if escaped:
             print(f"orbit escaped at s={value:g}", file=sys.stderr)
-    write_csv(cfg.output or "sweep.csv", ("param", "x", "y"), _sweep_rows(result))
     for event in result.events:
         print(f"event: {event.kind} of {event.equilibrium} at s={event.s:.6g}")
     return 0
+
+
+def _region_job(path, p: ModelParams, grid: np.ndarray):
+    """Write the (c, m*) boundary of p over the c values of grid, and return it."""
+    result = stability_region_cm(p, grid)
+    write_csv(path, ("c", "m_star"), result.points)
+    return result
 
 
 def _run_region(cfg: RunConfig) -> int:
@@ -380,10 +384,9 @@ def _run_region(cfg: RunConfig) -> int:
         if not math.isfinite(getattr(cfg, key)):
             raise ValueError(f"region grid end {key} must be finite, got {getattr(cfg, key)!r}")
     grid = np.linspace(cfg.c_min, cfg.c_max, cfg.c_points)
-    result = stability_region_cm(cfg.params, grid)
+    result = _region_job(cfg.output or "region.csv", cfg.params, grid)
     for c, reason in result.skipped:
         print(f"skipped c={c:g}: {reason}", file=sys.stderr)
-    write_csv(cfg.output or "region.csv", ("c", "m_star"), result.points)
     return 0
 
 
@@ -434,18 +437,6 @@ def _within(expected: float, value: float, tol: tuple) -> bool:
     return abs(value - expected) <= max(rel * abs(expected), abs_tol)
 
 
-def _sweep_job(path, p: ModelParams, s_min: float, s_max: float) -> None:
-    """Write the map's step-size sweep at p and m = 0.95 over [s_min, s_max]."""
-    sweep = sweep_step_size(p, 0.95, s_min, s_max, 31, transient=3000, n_samples=120, kick=1e-3)
-    write_csv(path, ("param", "x", "y"), _sweep_rows(sweep))
-
-
-def _region_job(path, p: ModelParams) -> None:
-    """Write the (c, m*) boundary of p over c in [0.005, 0.12]."""
-    region = stability_region_cm(p, np.linspace(0.005, 0.12, 24))
-    write_csv(path, ("c", "m_star"), region.points)
-
-
 def _reproduce_jobs(outdir: Path, p86: ModelParams, p45: ModelParams, p05: ModelParams) -> list:
     """The file-writing analyses of reproduce as (job, path, *arguments),
     longest first, so that the last job a process takes is a short one."""
@@ -456,14 +447,15 @@ def _reproduce_jobs(outdir: Path, p86: ModelParams, p45: ModelParams, p05: Model
          p86, DEFAULT_X0, m, solver[80.0])
         for m in (0.8, 0.95, 1.0)
     ]
+    sweep = dict(transient=3000, n_samples=120, kick=1e-3)
     return [
-        (_sweep_job, outdir / "interior_sweep.csv", p45, 0.10, 0.55),
+        (_sweep_job, outdir / "interior_sweep.csv", p45, 0.95, 0.10, 0.55, 31, sweep),
         (_series_job, outdir / "order_stable_series.csv", p05, start, 0.95, solver[300.0]),
         (_series_job, outdir / "order_unstable_series.csv", p05, start, 0.995, solver[300.0]),
-        (_sweep_job, outdir / "predator_free_sweep.csv", p86, 0.60, 0.85),
+        (_sweep_job, outdir / "predator_free_sweep.csv", p86, 0.95, 0.60, 0.85, 31, sweep),
         (_series_job, outdir / "interior_series_m090.csv", p45, DEFAULT_X0, 0.9, solver[150.0]),
         *predator_free,
-        (_region_job, outdir / "stability_region.csv", p05),
+        (_region_job, outdir / "stability_region.csv", p05, np.linspace(0.005, 0.12, 24)),
     ]
 
 
@@ -520,28 +512,24 @@ def _work(jobs: list, queue: int, report_fd: int) -> None:
 def _run_jobs(jobs: list) -> None:
     """Run every (job, *arguments) of jobs, a table of at most 256.
 
-    This process and one forked child per further usable CPU, up to one
-    process a job, take job indices in table order from one pipe, a byte
-    each.  A process whose job fails empties the pipe, so no further job
-    starts; a child sends its failure, pickled, on a pipe of its own.  Once
-    every child has reported and exited, the failure with the lowest table
-    index is raised here, the job's own exception; a child that ended
-    without a report raises RuntimeError, ranked after every reported
-    failure, since the job it ran is unknown.  A child inherits this
-    process's modules and imports nothing.  With one usable CPU, or no
-    os.fork, the jobs run here in order.
+    This process, and where os.fork exists one forked child per further
+    usable CPU up to one process a job, take job indices in table order
+    from one pipe, a byte each: with one usable CPU or no os.fork, this
+    process alone.  A process whose job fails empties the pipe, so no
+    further job starts; a child sends its failure, pickled, on a pipe of
+    its own.  Once every child has reported and exited, the failure with
+    the lowest table index is raised here, the job's own exception; a child
+    that ended without a report raises RuntimeError, ranked after every
+    reported failure, since the job it ran is unknown.  A child inherits
+    this process's modules and imports nothing.
     """
-    processes = min(len(jobs), _usable_cpus())
-    if processes < 2 or not hasattr(os, "fork"):
-        for job in jobs:
-            job[0](*job[1:])
-        return
     queue, tickets = os.pipe()
     os.write(tickets, bytes(range(len(jobs))))
     os.close(tickets)
+    forks = min(len(jobs), _usable_cpus()) - 1 if hasattr(os, "fork") else 0
     children, failures = [], []
     try:
-        for _ in range(processes - 1):
+        for _ in range(forks):
             report, report_end = os.pipe()
             with warnings.catch_warnings():
                 # from Python 3.12 on os.fork warns whenever the process has
@@ -560,14 +548,12 @@ def _run_jobs(jobs: list) -> None:
         while os.read(queue, 256):
             pass
         os.close(queue)
-        reports = []
-        for _, report in children:
+        for pid, report in children:
             with open(report, "rb") as pipe:
-                reports.append(pipe.read())
-        for (pid, _), report in zip(children, reports):
+                sent = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if report:
-                failures.append(pickle.loads(report))
+            if sent:
+                failures.append(pickle.loads(sent))
             elif code:
                 error = RuntimeError(f"a job process ended without a report, exit code {code}")
                 failures.append((len(jobs), error))

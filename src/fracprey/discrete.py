@@ -246,11 +246,19 @@ _map_kernel = _compile(
 )
 
 
+def _pair(state) -> np.ndarray:
+    """A map state as a float array (x, y); ValueError for any other shape."""
+    pair = np.asarray(state, dtype=float)
+    if pair.shape != (2,):
+        raise ValueError(f"a map state must be a pair (x, y), got shape {pair.shape}")
+    return pair
+
+
 def step_map(p: ModelParams, s: float, m: float, state) -> np.ndarray:
     """One application of the map: state + S * rate(state), no clamping."""
     # row 1 goes to a throwaway list; the returned pair is the step, bound or not
     advance = _map_kernel(p, map_gain(s, m), [0.0] * 4)
-    x, y, _ = advance(float(state[0]), float(state[1]), 0, 1)
+    x, y, _ = advance(*_pair(state).tolist(), 0, 1)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise OrbitEscapeError(f"map produced a non-finite state from {state!r}")
     return np.array([x, y])
@@ -266,13 +274,14 @@ def iterate_orbit(p: ModelParams, cfg: DiscreteConfig, x0) -> DiscreteOrbit:
     for bit, the row _REPEAT_LAG before it, the rest of the orbit is copied
     forward with the same bits instead of being iterated further; stepped
     then says where the copy began.  Raises ValueError, before allocating
-    the orbit, when its iterates times state size exceed
-    pece.MAX_GRID_VALUES.
+    the orbit, when x0 is not a pair (x, y) or when its iterates times state
+    size exceed pece.MAX_GRID_VALUES.
     """
+    x0 = _pair(x0)
     _check_budget((cfg.iterations + 1) * 2, f"orbit of {cfg.iterations} iterations x 2 state components")
     last = cfg.iterations
     states = np.empty((last + 1, 2))
-    states[0] = np.asarray(x0, dtype=float)
+    states[0] = x0
     flat = memoryview(states.reshape(-1))
     advance = _map_kernel(p, map_gain(cfg.s, cfg.m), flat)
     # Compare bits, not floats: -0.0 == 0.0 is True although the bits differ.

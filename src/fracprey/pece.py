@@ -404,14 +404,17 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     step's history.  Raises SolverDivergenceError at the first node with a
     component beyond ESCAPE_BOUND or not finite, or whose state makes the
     field divide by zero (the model's prey pole), and ValueError, before
-    allocating, when x0 is not a non-empty 1-D state or when the grid's
-    steps times state size times corrector sweeps exceed MAX_GRID_VALUES.
+    allocating, when x0 is not a non-empty 1-D state, or not a pair for the
+    model's field, or when the grid's steps times state size times
+    corrector sweeps exceed MAX_GRID_VALUES.
     """
     _check_order(m)
     h = cfg.step
     u0 = np.array(x0, dtype=float)  # a copy: rhs gets it at node 0 and may mutate it
     if u0.ndim != 1 or u0.size == 0:
         raise ValueError(f"x0 must be a non-empty 1-D state, got shape {u0.shape}")
+    if isinstance(rhs, _VectorField) and u0.size != 2:
+        raise ValueError(f"the model's field needs a state (x, y), got {u0.size} components")
     steps = cfg.horizon / h + 1e-9
     sweeps = cfg.corrector_sweeps
     _check_budget(
@@ -448,10 +451,10 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
         raise SolverDivergenceError(0.0, anchor) from None
     np.multiply(weights[0, :, None], rates[0], out=hist[1:, 0])
     np.multiply(weights[2, :, None], rates[0], out=hist[1:, 1])
-    # the model's field has two components (rates[0] above fails on any
-    # other size) and takes its own loop, compiled with the field inlined;
-    # any other rhs takes the loop on named floats of its state size, or
-    # the vector loop above _MAX_NAMED components
+    # the model's field has two components (checked on entry) and takes its
+    # own loop, compiled with the field inlined; any other rhs takes the
+    # loop on named floats of its state size, or the vector loop above
+    # _MAX_NAMED components
     if isinstance(rhs, _VectorField):
         make_steps, field = _pair_steps, rhs.params
     elif u0.size <= _MAX_NAMED:

@@ -328,6 +328,19 @@ class TestCliRuns:
         assert main(["thresholds", "--config", str(config), "--output", str(missing)]) == 4
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--c", "0.05", "--m", "0.95", "--s-min", "0.18", "--s-max", "0.21", "--n-points", "4",
+         "--n-samples", "5", "--kick", "1e-3"],
+        ["region", "--c", "0.05", "--c-min", "0", "--c-max", "0.2", "--c-points", "3"],
+    ], ids=["sweep", "region"])
+    def test_unwritable_output_is_the_one_stderr_line(self, tmp_path, capsys, argv):
+        # the sweep has orbits that escape and the region c values it skips,
+        # but the run that cannot write its file reports only that
+        missing = tmp_path / "no" / "such" / "dir" / "x.csv"
+        assert main(argv + PARAM_FLAGS + ["--output", str(missing)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output:") and err.count("\n") == 1
+
     def test_stability_report_rows(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(BASE_CONFIG, encoding="utf-8")
@@ -518,6 +531,23 @@ class TestReproduce:
             assert (code, err) == (4, f"cannot write output: [Errno 13] Permission denied: "
                                       f"'{outdir / 'predator_free_sweep.csv'}'\n")
 
+    def test_sweep_and_region_files_are_the_modes_outputs(self, tmp_path, capsys):
+        # each is what a user gets from its mode at the flags of its job
+        assert main(["reproduce", "--output", str(tmp_path)]) == 0
+        (outdir,) = tmp_path.glob("reproduce-*")
+        sweep = ["sweep", "--m", "0.95", "--n-points", "31", "--transient", "3000",
+                 "--n-samples", "120", "--kick", "1e-3"]
+        runs = {
+            "interior_sweep.csv": sweep + ["--c", "0.45", "--s-min", "0.10", "--s-max", "0.55"],
+            "predator_free_sweep.csv": sweep + ["--c", "0.86", "--s-min", "0.60", "--s-max", "0.85"],
+            "stability_region.csv": ["region", "--c", "0.05", "--c-min", "0.005", "--c-max", "0.12",
+                                     "--c-points", "24"],
+        }
+        for name, argv in runs.items():
+            out = tmp_path / name
+            assert main(argv + PARAM_FLAGS + ["--output", str(out)]) == 0
+            assert out.read_bytes() == (outdir / name).read_bytes(), name
+
     @pytest.mark.parametrize("key", fracprey.cli.PARAM_KEYS)
     def test_parameter_flag_rejected(self, tmp_path, capsys, key):
         # reproduce runs on its reference parameters: a flag it would ignore
@@ -648,6 +678,24 @@ class TestRunJobs:
         starts = self.starts(log)
         assert len(starts) <= cpus and list(starts.values()).count(parent) <= 1
         assert str(failure.value) == f"job {min(i for i, pid in starts.items() if pid != parent)}"
+
+    def test_no_fork_runs_every_job_here_in_order(self, monkeypatch):
+        # a job run in a child would leave no entry in this process's list
+        ran = []
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(fracprey.cli, "_usable_cpus", lambda: 3)
+        fracprey.cli._run_jobs([(lambda index: ran.append((index, os.getpid())), index) for index in range(9)])
+        assert ran == [(index, os.getpid()) for index in range(9)]
+
+    def test_one_cpu_never_forks(self, monkeypatch):
+        def fork():
+            raise AssertionError("os.fork called")
+
+        ran = []
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(fracprey.cli, "_usable_cpus", lambda: 1)
+        fracprey.cli._run_jobs([(ran.append, index) for index in range(9)])
+        assert ran == list(range(9))
 
     def reproduce_with(self, table, cpus, tmp_path, capfd, monkeypatch):
         """reproduce with its job table replaced by table: (exit code, stderr)."""

@@ -24,6 +24,7 @@ from fracprey import (
     rhs,
     step_map,
     step_thresholds,
+    sweep_step_size,
     thresholds,
 )
 from fracprey.discrete import ESCAPE_BOUND
@@ -221,6 +222,16 @@ class TestOrbit:
         orbit = iterate_orbit(mid_complexity, cfg, (10.0, 5.0))
         dist = np.linalg.norm(orbit.states - target, axis=1)
         assert dist[-1000:].max() > 1.0
+
+    # a scalar, one component and three: none is a start pair (x, y)
+    @pytest.mark.parametrize("x0", [5.0, [5.0], [1.0, 2.0, 3.0]], ids=["scalar", "one", "three"])
+    def test_start_state_must_be_a_pair(self, mid_complexity, x0):
+        with pytest.raises(ValueError, match="must be a pair"):
+            iterate_orbit(mid_complexity, DiscreteConfig(s=0.1, m=0.9, iterations=10), x0)
+        with pytest.raises(ValueError, match="must be a pair"):
+            step_map(mid_complexity, 0.1, 0.9, x0)
+        with pytest.raises(ValueError, match="must be a pair"):
+            sweep_step_size(mid_complexity, 0.9, 0.1, 0.2, 2, x0=x0)
 
     def test_size_budget_rejected_before_allocation(self, mid_complexity):
         # the smallest orbit over the budget, and one that would need 160 GB

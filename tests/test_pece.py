@@ -725,6 +725,11 @@ class TestConfigValidation:
             tracemalloc.stop()
         assert peak < 100_000
 
+    @pytest.mark.parametrize("x0", [[5.0], [1.0, 2.0, 3.0]], ids=["one", "three"])
+    def test_model_field_needs_a_pair(self, mid_complexity, x0):
+        with pytest.raises(ValueError, match=r"needs a state \(x, y\), got \d components"):
+            pece_solve(vector_field(mid_complexity), x0, 0.9, SolverConfig(step=0.1, horizon=1.0))
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             pece_solve(linear_decay, [1.0], 1.5, SolverConfig(step=0.1, horizon=1.0))

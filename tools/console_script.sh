@@ -40,6 +40,16 @@ grep -q 'float range' "$tmp/v.err"
   --m 0.2168728395724311 --s-min 0.1 --s-max 0.2 --n-points 2 --n-samples 2 --transient 2 \
   --output "$tmp/w.csv"
 grep -q '^param,x,y$' "$tmp/w.csv"
+# a sweep whose orbits escape at s = 0.2 and 0.21, into a directory that
+# does not exist: exit 4 and the one stderr line of the unwritable file
+status=0
+"${cli[@]}" sweep --r 2.65 --K 898 --alpha 0.045 --h 0.0437 --theta 0.215 --c 0.05 --d 1.06 \
+  --m 0.95 --s-min 0.18 --s-max 0.21 --n-points 4 --n-samples 5 --kick 1e-3 \
+  --output "$tmp/no/such/dir/x.csv" 2> "$tmp/x.err" || status=$?
+test "$status" -eq 4
+test "$(wc -l < "$tmp/x.err")" -eq 1
+grep -q '^cannot write output:' "$tmp/x.err"
+if grep -q 'Traceback' "$tmp/x.err"; then exit 1; fi
 # x0 on the prey pole x = -1/(alpha (1 - c) h) of the field: a numerical escape, exit 3
 for run in "discrete --s 0.1 --iterations 5" "simulate --step 0.1 --horizon 1"; do
   status=0
