@@ -137,7 +137,9 @@ def cluster_count(points: np.ndarray) -> int:
     k = max(1, min(open, _ROUND_DISTANCES // open)) open rows as candidates.
     A round measures each candidate against every open row.  In order,
     a candidate is a center unless an earlier center of the round is within
-    radius of it.  The round then closes every candidate and every row
+    radius of it; when no candidate is within radius of another, as on the
+    samples of an invariant circle, every candidate is a center, found
+    without the loop.  The round then closes every candidate and every row
     within radius of a center; a round of one candidate needs only its row
     of distances for that.  The open rows are compacted with compress,
     which keeps them in order at a fraction of the cost of boolean
@@ -161,6 +163,9 @@ def cluster_count(points: np.ndarray) -> int:
             near = np.sqrt(dist, out=dist) <= radius
             if k == 1:
                 keep, found = ~near[0], 1
+            elif np.count_nonzero(near[:, :k]) == np.count_nonzero(near.diagonal()):
+                # only the diagonal is near: every candidate is a center
+                keep, found = ~near.any(axis=0), k
             else:
                 bits = np.packbits(near[:, :k], axis=1, bitorder="little")
                 covered = 0

@@ -7,7 +7,8 @@ forward Euler at m = 1.  Stability of the fixed points is controlled by
 critical step sizes s1..s5; at the interior fixed point a complex eigenvalue
 pair crosses the unit circle at s4 (Hopf/Neimark-Sacker), and the normal
 form computed here ends in the discriminant gamma whose sign decides whether
-the bifurcating invariant circle attracts.
+the bifurcating invariant circle attracts.  An orbit is stepped in one call
+of a kernel compiled with the field inlined, which stops at a bit repeat.
 """
 
 import cmath
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelParams, _compile, equilibria, interior_point, jacobian, thresholds
+from .model import ModelParams, _compile, _pair, equilibria, interior_point, jacobian, thresholds
 from .pece import ESCAPE_BOUND, _check_budget, _check_count
 from .special import _check_order, gamma_fn
 
@@ -209,59 +210,60 @@ class BifurcationEvent:
 
 _map_kernel = _compile(
     "_map_kernel",
-    ("gain", "flat"),
+    ("gain", "states"),
     """
-    bound = ESCAPE_BOUND
-
-    def advance(x, y, start, stop):
-        try:
-            for i in range(2 * start + 2, 2 * stop + 2, 2):
+    bound, low = ESCAPE_BOUND, -ESCAPE_BOUND
+    xs, ys = memoryview(states[:, 0]), memoryview(states[:, 1])
+    # Compare bits, not floats: -0.0 == 0.0 is True although the bits differ.
+    bits = states.view(int64)
+    xb, yb = memoryview(bits[:, 0]), memoryview(bits[:, 1])
+    last = len(xs) - 1
+    x, y = xs[0], ys[0]
+    try:
+        for start in range(0, last, _REPEAT_LAG):
+            for n in range(start + 1, min(start + _REPEAT_LAG, last) + 1):
                 capture = {capture}
                 x, y = x + gain * {dx}, y + gain * {dy}
+                xs[n] = x
+                ys[n] = y
                 # "not <=" also catches NaN and inf
-                if not (abs(x) <= bound and abs(y) <= bound):
-                    return x, y, i // 2
-                flat[i] = x
-                flat[i + 1] = y
-        except ZeroDivisionError:
-            return nan, nan, i // 2
-        return x, y, stop + 1
-    return advance
+                if not (low <= x <= bound and low <= y <= bound):
+                    return n, True
+            if xb[n] == xb[start] and yb[n] == yb[start]:
+                return n, False
+    except ZeroDivisionError:
+        xs[n] = ys[n] = nan
+        return n, True
+    return n, False
     """,
-    """The map on plain floats with the parameters of p, the gain and the
-    flat buffer flat bound once: advance(x, y, start, stop) steps rows
-    start + 1 to stop from the row (x, y), storing row n at flat[2n],
-    flat[2n + 1], and returns (x, y, n).  n <= stop means row n escaped: it
-    is non-finite or beyond ESCAPE_BOUND and is returned but not stored;
-    n = stop + 1 means every row was stored.  The loop runs on the flat
-    index i = 2n of the row it computes, storing it at flat[i] and
-    flat[i + 1], and an escape returns the row as n = i // 2.
+    """Step the orbit in states, an (N, 2) float array holding its start
+    in row 0, with the parameters of p and the gain; returns (n, escaped).
+    Rows are stepped in blocks of _REPEAT_LAG, each row stored, through a
+    memoryview of each column, as it is computed.  escaped means row n,
+    which is stored, escaped: it is non-finite or beyond ESCAPE_BOUND.
+    Otherwise rows up to n are the orbit's, and n < N - 1 means the block
+    end n repeats, bit for bit, the row _REPEAT_LAG before it.
 
     The field is inlined from its one written source, model._FIELD, with the
     operations of x + gain * dx in its order, so that an iteration makes no
     Python call.  At the prey pole x = -1/(alpha (1 - c) h) the capture term
     divides by zero: that row escapes as (nan, nan), as the step on numpy
     floats goes non-finite.""",
-    {"ESCAPE_BOUND": ESCAPE_BOUND, "nan": math.nan},
+    {"ESCAPE_BOUND": ESCAPE_BOUND, "_REPEAT_LAG": _REPEAT_LAG, "int64": np.int64, "nan": math.nan},
 )
 
 
-def _pair(state) -> np.ndarray:
-    """A map state as a float array (x, y); ValueError for any other shape."""
-    pair = np.asarray(state, dtype=float)
-    if pair.shape != (2,):
-        raise ValueError(f"a map state must be a pair (x, y), got shape {pair.shape}")
-    return pair
-
-
 def step_map(p: ModelParams, s: float, m: float, state) -> np.ndarray:
-    """One application of the map: state + S * rate(state), no clamping."""
-    # row 1 goes to a throwaway list; the returned pair is the step, bound or not
-    advance = _map_kernel(p, map_gain(s, m), [0.0] * 4)
-    x, y, _ = advance(*_pair(state).tolist(), 0, 1)
-    if not (math.isfinite(x) and math.isfinite(y)):
+    """One application of the map: state + S * rate(state), no clamping.
+
+    The step is row 1 of a scratch orbit of one iteration, stored whether
+    or not it escaped; OrbitEscapeError when it is not finite."""
+    rows = np.empty((2, 2))
+    rows[0] = _pair(state)
+    _map_kernel(p, map_gain(s, m), rows)
+    if not (math.isfinite(rows[1, 0]) and math.isfinite(rows[1, 1])):
         raise OrbitEscapeError(f"map produced a non-finite state from {state!r}")
-    return np.array([x, y])
+    return rows[1]
 
 
 def iterate_orbit(p: ModelParams, cfg: DiscreteConfig, x0) -> DiscreteOrbit:
@@ -269,34 +271,23 @@ def iterate_orbit(p: ModelParams, cfg: DiscreteConfig, x0) -> DiscreteOrbit:
 
     An iterate escapes when it is non-finite or either coordinate exceeds
     ESCAPE_BOUND in magnitude; the comparison is written so that NaN fails it.
-    The orbit is stepped in blocks of _REPEAT_LAG rows, each in one call of
-    the kernel that _map_kernel builds.  At a block end whose row repeats, bit
-    for bit, the row _REPEAT_LAG before it, the rest of the orbit is copied
-    forward with the same bits instead of being iterated further; stepped
-    then says where the copy began.  Raises ValueError, before allocating
-    the orbit, when x0 is not a pair (x, y) or when its iterates times state
-    size exceed pece.MAX_GRID_VALUES.
+    The whole orbit is stepped in one call of _map_kernel, which checks at
+    the end of each block of _REPEAT_LAG rows whether the row repeats, bit
+    for bit, the row _REPEAT_LAG before it.  From such a row the rest of the
+    orbit is copied forward with the same bits instead of being iterated
+    further; stepped then says where the copy began.  Raises ValueError,
+    before allocating the orbit, when x0 is not a pair (x, y) or when its
+    iterates times state size exceed pece.MAX_GRID_VALUES.
     """
     x0 = _pair(x0)
     _check_budget((cfg.iterations + 1) * 2, f"orbit of {cfg.iterations} iterations x 2 state components")
-    last = cfg.iterations
-    states = np.empty((last + 1, 2))
+    states = np.empty((cfg.iterations + 1, 2))
     states[0] = x0
-    flat = memoryview(states.reshape(-1))
-    advance = _map_kernel(p, map_gain(cfg.s, cfg.m), flat)
-    # Compare bits, not floats: -0.0 == 0.0 is True although the bits differ.
-    bits = memoryview(states.view(np.int64).reshape(-1))
-    x, y = float(states[0, 0]), float(states[0, 1])
-    for start in range(0, last, _REPEAT_LAG):
-        stop = min(start + _REPEAT_LAG, last)
-        x, y, n = advance(x, y, start, stop)
-        if n <= stop:
-            return DiscreteOrbit(states=states[:n].copy(), config=cfg, escaped=True, stepped=n - 1)
-        i, j = 2 * stop, 2 * start
-        if stop < last and bits[i] == bits[j] and bits[i + 1] == bits[j + 1]:
-            _copy_forward(states, stop)
-            return DiscreteOrbit(states=states, config=cfg, escaped=False, stepped=stop)
-    return DiscreteOrbit(states=states, config=cfg, escaped=False, stepped=last)
+    n, escaped = _map_kernel(p, map_gain(cfg.s, cfg.m), states)
+    if escaped:
+        return DiscreteOrbit(states=states[:n].copy(), config=cfg, escaped=True, stepped=n - 1)
+    _copy_forward(states, n)
+    return DiscreteOrbit(states=states, config=cfg, escaped=False, stepped=n)
 
 
 def _copy_forward(states: np.ndarray, filled: int) -> None:

@@ -156,9 +156,10 @@ def _compile(name: str, args: tuple, body: str, doc: str, namespace: Optional[di
     which {capture}, {dx} and {dy} stand for the expressions of _FIELD at
     the state named x, y.  body is compiled here, once, when the module that
     defines the loop is imported (as dataclasses and namedtuple build their
-    methods); a factory call only makes closures, and every closure of one
-    template shares one code object.  namespace holds the globals that body
-    reads."""
+    methods).  body returns closures, so that a factory call only makes
+    closures and every closure of one template shares one code object, or
+    runs its loop itself, on locals only.  namespace holds the globals that
+    body reads."""
     body = "\n".join([
         "r, K, a, theta, d = p.r, p.K, p.attack, p.theta, p.d",
         "ah = a * p.h",
@@ -197,9 +198,17 @@ class _VectorField:
         return np.array(self.rates(float(state[0]), float(state[1])))
 
 
+def _pair(state) -> np.ndarray:
+    """A state as a float array (x, y); ValueError for any other shape."""
+    pair = np.asarray(state, dtype=float)
+    if pair.shape != (2,):
+        raise ValueError(f"a state must be a pair (x, y), got shape {pair.shape}")
+    return pair
+
+
 def rhs(p: ModelParams, state) -> np.ndarray:
-    """Rate vector (dx, dy) at a nonnegative state."""
-    return _VectorField(p)(state)
+    """Rate vector (dx, dy) at a nonnegative state pair (x, y)."""
+    return _VectorField(p)(_pair(state))
 
 
 def vector_field(p: ModelParams) -> Callable:
@@ -210,7 +219,7 @@ def vector_field(p: ModelParams) -> Callable:
 
 def jacobian(p: ModelParams, state) -> Jacobian2:
     """Analytic partial derivatives of the field at a state."""
-    x, y = float(state[0]), float(state[1])
+    x, y = _pair(state).tolist()
     a = p.attack
     denom = 1.0 + a * p.h * x
     return Jacobian2(

@@ -16,6 +16,7 @@ from fracprey import (
     iterate_orbit,
     pece_solve,
     stability_region_cm,
+    step_thresholds,
     sweep_step_size,
     thresholds,
     vector_field,
@@ -209,6 +210,51 @@ class TestClusterCount:
         # more centers than the first two rounds can found
         assert expected > 100
         assert cluster_count(pts) == expected
+
+    @staticmethod
+    def spread_lattice(rng, n):
+        """n rows of a shuffled lattice of spacing 0.01, jittered by far less
+        than that: every row is farther than the radius from every other."""
+        lattice = np.stack(np.meshgrid(np.arange(30), np.arange(30)), axis=-1).reshape(-1, 2)
+        return 0.01 * rng.permutation(lattice)[:n] - 4.5 + 1e-3 * rng.uniform(size=(n, 2))
+
+    def test_merge_free_blocks_take_every_candidate(self, mid_complexity, monkeypatch):
+        # samples on the attracting circle past s4, and lattices with NaN
+        # and inf rows: no round needs the center loop or its bit rows
+        monkeypatch.setattr(np, "packbits", None)
+        s4 = step_thresholds(mid_complexity, 0.95).s4
+        cfg = DiscreteConfig(s=2.0 * s4, m=0.95, iterations=1100, transient=1000)
+        circle = iterate_orbit(mid_complexity, cfg, (10.0, 5.0)).samples
+        assert cluster_count(circle) == self.greedy_reference(circle) == 100
+        rng = np.random.default_rng(25)
+        for n in (2, 100, 256, 257, 700):
+            pts = self.spread_lattice(rng, n)
+            bad = rng.choice(n, size=min(n, 5), replace=False)
+            pts[bad] = [[np.nan, 1.0], [np.inf, 2.0], [-np.inf, np.nan], [np.nan, np.nan], [1.0, np.inf]][: len(bad)]
+            with np.errstate(invalid="ignore"):
+                assert cluster_count(pts) == self.greedy_reference(pts) == n
+
+    def test_one_close_pair_among_isolated_rows(self):
+        # the pair's second row is within radius of its first, which is a
+        # later candidate than row 0; every other row is isolated
+        rng = np.random.default_rng(26)
+        for n, first, second in [(3, 1, 2), (100, 1, 99), (100, 50, 51), (100, 98, 20), (256, 7, 200),
+                                 (300, 250, 3), (700, 5, 600)]:
+            pts = self.spread_lattice(rng, n)
+            pts[second] = pts[first] + 1e-7
+            assert cluster_count(pts) == self.greedy_reference(pts) == n - 1
+
+    def test_partly_merged_block(self):
+        # isolated rows, and rows on three tight clusters each of whose
+        # first rows is a later candidate than row 0
+        rng = np.random.default_rng(27)
+        for n in (20, 100, 256, 400):
+            pts = self.spread_lattice(rng, n)
+            tight = rng.choice(np.arange(4, n), size=n // 4, replace=False)
+            pts[tight] = pts[1 + rng.integers(0, 3, size=n // 4)] + 1e-7 * rng.standard_normal((n // 4, 2))
+            expected = self.greedy_reference(pts)
+            assert n // 2 < expected < n
+            assert cluster_count(pts) == expected
 
 
 class TestStabilityRegion:

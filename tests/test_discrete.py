@@ -28,6 +28,7 @@ from fracprey import (
     thresholds,
 )
 from fracprey.discrete import ESCAPE_BOUND
+from fracprey.model import _field
 from fracprey.pece import MAX_GRID_VALUES
 
 from conftest import BASE
@@ -534,6 +535,104 @@ class TestPole:
         assert np.array_equal(orbit.states[1], step_map(mid_complexity, 0.1, 0.9, x0))
         with pytest.raises(OrbitEscapeError):
             step_map(mid_complexity, 0.1, 0.9, orbit.states[1])
+
+
+def block_orbit(p, cfg, x0):
+    """The orbit as a driver of blocks of LAG rows steps it, on the rates of
+    model._field: the tests' bit reference for iterate_orbit, written apart
+    from its kernel.  At each block end short of the last row whose bits
+    equal the row LAG before it, the rest is copied forward row by row.
+    Returns (states, escaped, stepped) in the contract of DiscreteOrbit."""
+    rates = _field(p)
+    gain = map_gain(cfg.s, cfg.m)
+    last = cfg.iterations
+    states = np.empty((last + 1, 2))
+    states[0] = np.asarray(x0, dtype=float)
+    bits = states.view(np.int64)
+    x, y = states[0].tolist()
+    for start in range(0, last, LAG):
+        stop = min(start + LAG, last)
+        for n in range(start + 1, stop + 1):
+            try:
+                dx, dy = rates(x, y)
+            except ZeroDivisionError:
+                return states[:n].copy(), True, n - 1
+            x, y = x + gain * dx, y + gain * dy
+            if not (abs(x) <= ESCAPE_BOUND and abs(y) <= ESCAPE_BOUND):
+                return states[:n].copy(), True, n - 1
+            states[n] = x, y
+        if stop < last and np.array_equal(bits[stop], bits[start]):
+            for n in range(stop + 1, last + 1):
+                states[n] = states[n - LAG]
+            return states, False, stop
+    return states, False, last
+
+
+def assert_block_parity(p, cfg, x0):
+    """iterate_orbit equals block_orbit in bytes, escaped and stepped;
+    returns the orbit."""
+    orbit = iterate_orbit(p, cfg, x0)
+    states, escaped, stepped = block_orbit(p, cfg, x0)
+    assert (orbit.escaped, orbit.stepped) == (escaped, stepped)
+    assert orbit.states.shape == states.shape
+    assert orbit.states.tobytes() == states.tobytes()
+    return orbit
+
+
+class TestBlockDriver:
+    """The one-call map kernel against a driver of blocks of LAG rows."""
+
+    # prey starts found by scanning at s = 0.668, m = 0.95, predator 5.0
+    @pytest.mark.parametrize(
+        "row, prey",
+        [(63, 14.68), (64, 10.14), (65, 9.98), (127, 869.37), (128, 14.23), (129, 10.16)],
+    )
+    def test_escape_rows(self, mid_complexity, row, prey):
+        for iterations in (row - 1, row, row + 1, 300):
+            cfg = DiscreteConfig(s=0.668, m=0.95, iterations=iterations)
+            orbit = assert_block_parity(mid_complexity, cfg, (prey, 5.0))
+            assert len(orbit.states) == row
+            assert orbit.escaped is (iterations >= row)
+
+    @pytest.mark.parametrize(
+        "x0, stepped",
+        [((-1.0 / (0.045 * 0.55 * 0.0437), 1.0), 0), ((-900.0, 5.474681625040993), 1)],
+        ids=["start", "row_1"],
+    )
+    def test_pole(self, mid_complexity, x0, stepped):
+        for iterations in (1, 5, 200):
+            cfg = DiscreteConfig(s=0.1, m=0.9, iterations=iterations)
+            orbit = assert_block_parity(mid_complexity, cfg, x0)
+            assert orbit.escaped is (iterations > stepped) and orbit.stepped == min(stepped, iterations)
+
+    @pytest.mark.parametrize("x0", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (898.0, -0.0), (300.0, -0.0)])
+    def test_negative_zero_starts(self, high_complexity, x0):
+        for iterations in (1, 64, 65, 300):
+            cfg = DiscreteConfig(s=gain_r_step(2.2, 0.95), m=0.95, iterations=iterations)
+            orbit = assert_block_parity(high_complexity, cfg, x0)
+            assert np.array_equal(np.signbit(orbit.states[0]), np.signbit(x0))
+
+    def test_repeat_at_first_block_end(self, high_complexity):
+        # (K, 0) is an exact fixed point: row 64 repeats row 0
+        for iterations in (64, 65, 129, 1000):
+            cfg = DiscreteConfig(s=0.3, m=0.95, iterations=iterations)
+            orbit = assert_block_parity(high_complexity, cfg, (898.0, 0.0))
+            assert orbit.stepped == min(LAG, iterations) and not orbit.escaped
+
+    def test_seeded_random_orbits(self):
+        # lengths under LAG, at and next to its multiples, and between them
+        rng = np.random.default_rng(30)
+        outcomes = {}
+        for iterations in (1, 2, 17, 63, 64, 65, 100, 128, 191, 1000, 3000):
+            for _ in range(40):
+                p = ModelParams(c=rng.uniform(0.0, 0.99), **BASE)
+                m = rng.uniform(0.3, 1.0)
+                s = rng.uniform(0.3, 2.0) * step_thresholds(p, m).s2
+                x0 = (rng.uniform(5.0, 400.0), rng.choice([0.0, rng.uniform(1.0, 120.0)]))
+                orbit = assert_block_parity(p, DiscreteConfig(s=s, m=m, iterations=iterations), x0)
+                kind = "escaped" if orbit.escaped else "copied" if orbit.stepped < iterations else "stepped"
+                outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert sorted(outcomes) == ["copied", "escaped", "stepped"], outcomes
 
 
 class TestStepThresholds:

@@ -1,4 +1,5 @@
 import os
+import types
 
 import numpy as np
 import pytest
@@ -109,14 +110,26 @@ class TestField:
                 scale = (1.0 + abs(x) + abs(y)) * (1.0 + p.r + p.d)
                 assert max(abs(v) for v in field.rates(x, y)) <= 1e-9 * scale
 
+    # one component and three: neither is a state pair (x, y)
+    @pytest.mark.parametrize("state", [[5.0], [1.0, 2.0, 3.0]], ids=["one", "three"])
+    def test_state_must_be_a_pair(self, mid_complexity, state):
+        with pytest.raises(ValueError, match="must be a pair"):
+            rhs(mid_complexity, state)
+        with pytest.raises(ValueError, match="must be a pair"):
+            jacobian(mid_complexity, state)
+
 
 class TestTemplates:
     def test_each_template_compiles_once(self, high_complexity, mid_complexity):
         # every float loop on the field is compiled when its module is
-        # imported; a factory call only makes a closure over that code
+        # imported; a factory call only makes a closure over that code, and
+        # the map kernel, which runs its loop itself, makes none
         p, q = high_complexity, mid_complexity
         assert vector_field(p).rates.__code__ is vector_field(q).rates.__code__
-        assert _map_kernel(p, 0.5, [0.0] * 4).__code__ is _map_kernel(q, 0.7, [0.0] * 4).__code__
+        code = _map_kernel.__code__
+        assert code.co_filename == "<fracprey _map_kernel>"
+        assert not any(isinstance(const, types.CodeType) for const in code.co_consts)
+        assert _map_kernel(p, 0.5, np.zeros((3, 2))) == _map_kernel(q, 0.7, np.zeros((3, 2))) == (2, False)
 
         def stepper(params, n_steps):
             rows = np.zeros((n_steps + 1, 2))

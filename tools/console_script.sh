@@ -58,6 +58,16 @@ for run in "discrete --s 0.1 --iterations 5" "simulate --step 0.1 --horizon 1"; 
   test "$status" -eq 3
   if grep -q 'Traceback' "$tmp/p.err"; then exit 1; fi
 done
+# an orbit that escapes at row 142, after its first block of 64 rows: exit
+# 3, one stderr line, and the 142 rows before the escape under the header
+status=0
+"${cli[@]}" discrete --r 2.65 --K 898 --alpha 0.045 --h 0.0437 --theta 0.215 --c 0.45 --d 1.06 \
+  --m 0.95 --s 0.57 --iterations 2000 --output "$tmp/e.csv" > "$tmp/e.out" 2> "$tmp/e.err" || status=$?
+test "$status" -eq 3
+test "$(wc -l < "$tmp/e.err")" -eq 1
+test "$(cat "$tmp/e.err")" = "numerical escape after 141 iterations"
+test "$(wc -l < "$tmp/e.csv")" -eq 143
+if grep -q 'Traceback' "$tmp/e.out" "$tmp/e.err" "$tmp/e.csv"; then exit 1; fi
 # reproduce exits 0 and writes one directory of 11 files; summary.csv has 37
 # rows under its header
 status=0
