@@ -49,14 +49,11 @@ from .special import MittagLefflerError, gamma_fn, mittag_leffler
 from .stability import (
     CriticalOrder,
     GlobalStabilityFlags,
-    NonhyperbolicError,
     StabilityReport,
     boundedness_envelope,
     classify_equilibria,
     critical_order,
     global_stability_check,
-    matignon_stable,
-    routh_hurwitz_fractional,
 )
 
 __version__ = "1.0.0"

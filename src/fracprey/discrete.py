@@ -416,8 +416,11 @@ def hopf_normal_form(p: ModelParams, m: float) -> NormalFormData:
     pair lambda = (2 - S1 G +/- i S1 sqrt(4H - G^2)) / 2 sits on the unit
     circle at S1 = s4^m/(m Gamma(m)), crossing with radial speed G/2.  The
     quadratic coefficients of the translated map feed the xi quantities and
-    the discriminant gamma; all third-order partial derivatives vanish, so
-    xi21 = 0.
+    the discriminant gamma.  gamma is the paper's, and its xi21 = 0 and the
+    dropped x^2 term of the prey equation come from it, not from the field:
+    the capture term a x y/(1 + b x), b = a h, has the third partial
+    d^3/dx^2dy = -2ab/(1 + bx)^3.  ROADMAP.md's item 11 (Neimark-Sacker
+    criticality) weighs the full coefficient against gamma.
     """
     _check_order(m)
     constants = _gain_constants(p)
@@ -433,7 +436,7 @@ def hopf_normal_form(p: ModelParams, m: float) -> NormalFormData:
             f"unit-modulus set needs G < 2 sqrt(H), got G={G:.6g}, 2 sqrt(H)={2*math.sqrt(H):.6g}"
         )
 
-    s4 = step_thresholds(p, m).s4
+    s4 = inverse_map_gain(G / H, m)
     S1 = map_gain(s4, m)
     a = p.attack
     margin = p.theta - p.h * p.d
@@ -456,7 +459,8 @@ def hopf_normal_form(p: ModelParams, m: float) -> NormalFormData:
         or math.isclose(G * G, 2.0 * H, rel_tol=1e-9)
     )
 
-    # second-order partials of the transformed map (third order all vanish)
+    # second-order partials of the transformed map; the paper's gamma keeps
+    # only these (xi21 = 0 and no x^2 term, see the docstring)
     p_uu = 2.0 * c13 * (delta - c11)
     p_vv = 0.0
     p_uv = -beta * c13

@@ -173,7 +173,11 @@ def history_weights(m: float, n: int):
 
     where b_j = (-1)^j binom(m+1, j) are positive and decreasing, so both
     series add positive terms.  k = 0 takes the exact 1, 2^(m+1) - 2 and m.
+    Raises ValueError unless 0 < m <= 1, the orders the series bound covers,
+    and n is an integer >= 1.
     """
+    _check_order(m)
+    _check_count("n", n, 1)
     weights = np.empty((3, n))
     pred, corr, w0 = weights
     pred[0], corr[0], w0[0] = 1.0, 2.0 * math.expm1(m * math.log(2.0)), m

@@ -3,10 +3,11 @@
 An equilibrium of a Caputo system of order m is asymptotically stable when
 every eigenvalue of the linearization keeps |arg| above m*pi/2, so lowering
 the order enlarges the stability region.  This module houses that argument
-test, its Routh-Hurwitz-style coefficient form, the critical order at which
-a complex pair crosses the boundary (fractional Hopf bifurcation), the
-per-equilibrium classification, the sufficient-condition checks for global
-stability, and the Mittag-Leffler boundedness envelope.
+test, the critical order at which a complex pair crosses the boundary
+(fractional Hopf bifurcation), the per-equilibrium classification, the
+sufficient-condition checks for global stability, and the Mittag-Leffler
+boundedness envelope.  The argument test's Routh-Hurwitz-style coefficient
+form lives in the tests, as its oracle.
 """
 
 import cmath
@@ -27,23 +28,16 @@ from .special import _check_order, mittag_leffler
 __all__ = [
     "CriticalOrder",
     "GlobalStabilityFlags",
-    "NonhyperbolicError",
     "StabilityReport",
     "boundedness_envelope",
     "classify_equilibria",
     "critical_order",
     "global_stability_check",
-    "matignon_stable",
-    "routh_hurwitz_fractional",
 ]
 
 # |arg| within this of m*pi/2 (or an eigenvalue this close to 0) is treated
 # as sitting on the boundary when classifying.
 _BOUNDARY_BAND = 1e-12
-
-
-class NonhyperbolicError(ValueError):
-    """The test is inconclusive: an eigenvalue sits on the critical set."""
 
 
 @dataclass(frozen=True)
@@ -81,34 +75,6 @@ class GlobalStabilityFlags:
 
     E1_global: bool
     Estar_global: bool
-
-
-def matignon_stable(eigs, m: float) -> bool:
-    """True iff the argument test classifies the eigenvalues as stable: every
-    |arg| above m*pi/2 by more than the boundary band."""
-    _check_order(m)
-    if any(complex(lam) == 0 for lam in eigs):
-        raise NonhyperbolicError("zero eigenvalue: neither stable nor unstable")
-    return _classify_eigs(eigs, m) == "stable"
-
-
-def routh_hurwitz_fractional(a1: float, a2: float, m: float) -> bool:
-    """Stability of xi^2 + a1 xi + a2 = 0 straight from the coefficients.
-
-    Real-root case (a1^2 >= 4 a2): both roots negative iff a1 > 0, a2 > 0.
-    Complex case: the root pair has |arg| = atan2(sqrt(4 a2 - a1^2), -a1),
-    compared strictly against m*pi/2 (the two-argument form resolves the
-    sign ambiguity a printed single-argument arctangent would have for
-    a1 < 0).  It stays a route of its own, apart from the argument test, so
-    that each can check the other.
-    """
-    _check_order(m)
-    if a2 == 0.0:
-        raise NonhyperbolicError("a2 = 0 gives a zero root: test inconclusive")
-    disc = a1 * a1 - 4.0 * a2
-    if disc >= 0.0:
-        return a1 > 0.0 and a2 > 0.0
-    return math.atan2(math.sqrt(-disc), -a1) > m * math.pi / 2.0
 
 
 def critical_order(p: ModelParams) -> CriticalOrder:

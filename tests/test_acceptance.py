@@ -19,17 +19,17 @@ from fracprey import (
     hopf_normal_form,
     iterate_orbit,
     jacobian,
-    matignon_stable,
     mittag_leffler,
     pece_solve,
     rhs,
-    routh_hurwitz_fractional,
     step_map,
     step_thresholds,
     sweep_step_size,
     thresholds,
     vector_field,
 )
+
+from test_stability import matignon_stable, routh_hurwitz_fractional
 
 BASE = dict(r=2.65, K=898.0, alpha=0.045, h=0.0437, theta=0.215, d=1.06)
 P86 = ModelParams(c=0.86, **BASE)

@@ -257,6 +257,18 @@ class TestCliRuns:
         assert float(values["gamma"]) < 0.0
         assert float(values["lambda_modulus"]) == pytest.approx(1.0, abs=1e-8)
 
+    def test_normal_form_at_small_order(self, tmp_path):
+        # at this m the step of s5's gain 2/G = 4.72533 exceeds the float range; s4 does not
+        out = tmp_path / "nf.csv"
+        params = dict(r=1.0313372770626303, K=133.798497589315, alpha=0.10174037599715532,
+                      h=0.08975409275460373, theta=0.4254221839060461, c=0.24979824806629516,
+                      d=1.6071127486252588)
+        argv = ["normal-form", "--m", "0.0013965989201810386", "--output", str(out)]
+        assert main(argv + [arg for key, value in params.items() for arg in (f"--{key}", str(value))]) == 0
+        values = name_value(out)
+        assert float(values["s4"]) == pytest.approx(1.2558e-41, rel=1e-4)
+        assert float(values["lambda_modulus"]) == pytest.approx(1.0, abs=1e-8)
+
     def test_normal_form_precondition_exit(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(BASE_CONFIG, encoding="utf-8")
@@ -765,6 +777,7 @@ REJECTED = {
     "normal_form_m_without_interior": (["normal-form", "--c", "0.86", "--m", "1.5"], "0 < m <= 1"),
     # below m ~ 9e-4 the step threshold s1 passes the float range
     "thresholds_m_tiny": (["thresholds", "--c", "0.45", "--m", "0.0005"], "float range"),
+    # and so does the normal form's own s4
     "normal_form_m_tiny": (["normal-form", "--c", "0.45", "--m", "0.0005"], "float range"),
     "sweep_m_tiny": (SWEEP + ["--m", "0.0005"], "float range"),
     # at r = 100 and m = 0.004 the step threshold s2 falls below it

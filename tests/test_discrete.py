@@ -762,6 +762,29 @@ class TestNormalForm:
         # the quadratic coefficients scale each other by the conversion rate
         assert nf.c23 == pytest.approx(-nf.c13 * mid_complexity.theta, rel=1e-12)
 
+    def test_s4_needs_no_other_threshold(self):
+        # at small m the other thresholds leave the float range first; the
+        # normal form still exists there, and elsewhere its s4 is
+        # step_thresholds' bit for bit
+        rng = np.random.RandomState(31)
+        agreed = beyond_thresholds = 0
+        for _ in range(1000):
+            p = random_params(rng)
+            m = 10.0 ** rng.uniform(-3.0, -1.0)
+            try:
+                nf = hopf_normal_form(p, m)
+            except ValueError:
+                continue
+            assert abs(nf.lambda1) == pytest.approx(1.0, abs=1e-8)
+            try:
+                steps = step_thresholds(p, m)
+            except ValueError:
+                beyond_thresholds += 1
+                continue
+            assert nf.s4 == steps.s4
+            agreed += 1
+        assert agreed >= 100 and beyond_thresholds >= 10
+
     def test_preconditions_name_the_failing_inequality(self, high_complexity, low_complexity):
         with pytest.raises(NormalFormPreconditionError, match="interior"):
             hopf_normal_form(high_complexity, 0.95)

@@ -93,6 +93,16 @@ class TestHistoryWeights:
                 for got, ref in zip((pred_w[k], corr_w[k], w0[k]), exact):
                     assert abs(mpmath.mpf(float(got)) / ref - 1) <= 1e-14, (k, got, ref)
 
+    # no weights once raised IndexError, an order above 1 passed the series
+    # bound and a NaN order gave NaN weights
+    @pytest.mark.parametrize("m, n, named", [
+        (0.9, 0, "n must be >= 1"), (0.9, 2.0, "n must be an integer"),
+        (1.5, 3, "0 < m <= 1"), (math.nan, 3, "0 < m <= 1"), (0.0, 3, "0 < m <= 1"),
+    ], ids=["n_zero", "n_float", "m_above_one", "m_nan", "m_zero"])
+    def test_rejects_bad_inputs(self, m, n, named):
+        with pytest.raises(ValueError, match=named):
+            history_weights(m, n)
+
 
 class TestClosedForm:
     @pytest.mark.parametrize("m", [1.0, 0.9, 0.5])
@@ -682,7 +692,7 @@ class TestPickle:
 
     def test_every_module_is_searched(self):
         assert [cls.__name__ for cls in package_exceptions()] == [
-            "ConfigError", "MittagLefflerError", "NonhyperbolicError", "NormalFormPreconditionError",
+            "ConfigError", "MittagLefflerError", "NormalFormPreconditionError",
             "OrbitEscapeError", "ParameterError", "SolverDivergenceError",
         ]
 

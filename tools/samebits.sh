@@ -9,8 +9,10 @@
 # from its own src/, in a fresh process with the same environment.  The two
 # stamped directories are compared file by file, stdout without its first
 # line (the output path), and the exit statuses.  Prints "identical", or the
-# name of each output that differs and exits 1.  Run it from anywhere inside
-# the repository; the temporary directories are removed on exit.
+# name of each output that differs and exits 1; for a CSV in both
+# directories, tools/csvdiff.py adds how many cells differ and the largest
+# absolute and relative difference.  Run it from anywhere inside the
+# repository; the temporary directories are removed on exit.
 set -eo pipefail
 if [ "$#" -gt 1 ]; then
   echo "usage: $0 [REF]" >&2
@@ -40,7 +42,15 @@ done
 
 differ=()
 for name in $( (ls "${dirs[0]}"; ls "${dirs[1]}") | sort -u); do
-  cmp -s "${dirs[0]}/$name" "${dirs[1]}/$name" || differ+=("$name")
+  a="${dirs[0]}/$name"
+  b="${dirs[1]}/$name"
+  if cmp -s "$a" "$b"; then
+    continue
+  elif [[ "$name" == *.csv && -f "$a" && -f "$b" ]]; then
+    differ+=("$name: $(python3 "$root/tools/csvdiff.py" "$a" "$b")")
+  else
+    differ+=("$name")
+  fi
 done
 cmp -s "$tmp/ref.report" "$tmp/work.report" || differ+=("stdout")
 cmp -s "$tmp/ref.status" "$tmp/work.status" || differ+=("exit status")
