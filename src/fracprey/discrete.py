@@ -321,11 +321,23 @@ def _gain_constants(p: ModelParams):
     return G, H, x_star
 
 
+def _prey_step(p: ModelParams, m: float) -> float:
+    """s2, the step at which the prey eigenvalue 1 - r S of the
+    predator-free point reaches -1."""
+    return inverse_map_gain(2.0 / p.r, m)
+
+
+def _hopf_step(G: float, H: float, m: float) -> float:
+    """s4, the step at which the interior point's det = 1 - S G + S^2 H
+    returns to 1, at S = G / H; for G > 0 and H > 0."""
+    return inverse_map_gain(G / H, m)
+
+
 def step_thresholds(p: ModelParams, m: float) -> StepThresholds:
     """Evaluate the critical step sizes s1..s5 and the constants G, H."""
     reasons = {}
     s1 = inverse_map_gain(2.0 / p.d, m)
-    s2 = inverse_map_gain(2.0 / p.r, m)
+    s2 = _prey_step(p, m)
 
     denom3 = p.d - p.K * p.alpha * (1.0 - p.c) * (p.theta - p.h * p.d)
     if denom3 > 0.0:
@@ -341,7 +353,7 @@ def step_thresholds(p: ModelParams, m: float) -> StepThresholds:
     else:
         G, H, _ = constants
         if G > 0.0 and H > 0.0:
-            s4 = inverse_map_gain(G / H, m)
+            s4 = _hopf_step(G, H, m)
         else:
             s4 = None
             reasons["s4"] = "requires G > 0 and H > 0"
@@ -436,7 +448,7 @@ def hopf_normal_form(p: ModelParams, m: float) -> NormalFormData:
             f"unit-modulus set needs G < 2 sqrt(H), got G={G:.6g}, 2 sqrt(H)={2*math.sqrt(H):.6g}"
         )
 
-    s4 = inverse_map_gain(G / H, m)
+    s4 = _hopf_step(G, H, m)
     S1 = map_gain(s4, m)
     a = p.attack
     margin = p.theta - p.h * p.d
@@ -527,7 +539,6 @@ def detect_structural_bifurcations(p: ModelParams, m: float) -> list:
     |det| for the arithmetic that forms it plus the entry's sensitivity to
     the rounding of its inputs.
     """
-    st = step_thresholds(p, m)
     th = thresholds(p)
     # (kind, fixed point, parameters, event step, tested step, report, Jury
     # entry, sensitivity of the entry to the rounding of its inputs, in eps)
@@ -539,22 +550,27 @@ def detect_structural_bifurcations(p: ModelParams, m: float) -> list:
         growth = capture_gain - p.d     # predator growth at (K, 0), zero at c1
         # at c = c1 the interior constants collapse to G = r, so the flip
         # step coincides with the prey threshold s2
-        S = map_gain(0.5 * st.s2, m)
+        s2 = _prey_step(p, m)
+        S = map_gain(0.5 * s2, m)
         # entry (r S)(-S growth): c1 is rounded, so a = alpha (1 - c1) is off
         # by up to eps / (1 - c1) relative, and growth by that share of its
         # terms
         sensitivity = p.r * S * S * (capture_gain + p.d) / (1.0 - th.c1)
-        cases.append(("transcritical", "predator_free", at_c1, None, 0.5 * st.s2, 1, 1, sensitivity))
-        S = map_gain(st.s2, m)
+        cases.append(("transcritical", "predator_free", at_c1, None, 0.5 * s2, 1, 1, sensitivity))
+        S = map_gain(s2, m)
         # entry (2 - r S)(2 + S growth): r S = 2 up to the rounding of the
         # gain's round trip through s2
-        sensitivity = p.r * S * abs(2.0 + S * growth) * _trip_rounding(st.s2, m)
-        cases.append(("flip", "predator_free", at_c1, st.s2, st.s2, 1, 2, sensitivity))
-    if st.s4 is not None and st.G < 2.0 * math.sqrt(st.H):
-        # entry 0 is 1 - det = S (G - S H) at the interior point: S = G / H up
-        # to the rounding of the gain's round trip through s4
-        S = map_gain(st.s4, m)
-        cases.append(("hopf", "interior", p, st.s4, st.s4, 2, 0, S * st.G * _trip_rounding(st.s4, m)))
+        sensitivity = p.r * S * abs(2.0 + S * growth) * _trip_rounding(s2, m)
+        cases.append(("flip", "predator_free", at_c1, s2, s2, 1, 2, sensitivity))
+    constants = _gain_constants(p)
+    if constants is not None:
+        G, H, _ = constants
+        if G > 0.0 and H > 0.0 and G < 2.0 * math.sqrt(H):
+            # entry 0 is 1 - det = S (G - S H) at the interior point: S = G /
+            # H up to the rounding of the gain's round trip through s4
+            s4 = _hopf_step(G, H, m)
+            S = map_gain(s4, m)
+            cases.append(("hopf", "interior", p, s4, s4, 2, 0, S * G * _trip_rounding(s4, m)))
 
     events = []
     for kind, equilibrium, q, s_event, s_test, k, j, sensitivity in cases:

@@ -11,17 +11,24 @@ Stat. Comput. 6, 1985): inside blocks of _BLOCK nodes they are summed
 directly, and every completed left half of the dyadic node tree is added to
 the sums of the right half that follows it by one FFT convolution.  The
 result is the same full-memory scheme at O(N log^2 N) cost.  One such level
-takes three transforms whatever the state size: one of the rate block over
-all components, one of both kernels and one inverse of their stacked
-product.
+takes at most three transforms whatever the state size: one of the rate
+block over all components, one of both kernels and one inverse of their
+stacked product.  The levels of one width share a span, and so the kernel
+transform: a solve keeps the transform of each span in its own locals while
+a later level of that span remains, and holds none while a level whose span
+no other level has, such as the top of the tree, runs.
 
 The step arithmetic of a small state runs on Python floats, since numpy
 calls on a short state vector cost more than the arithmetic they do.  Per
 step numpy does one in-block dot product: the kernel tail of each position
 in a block is a contiguous (2, w) array built once per solve, which BLAS
-takes without a copy, and the dot writes into one (2, state size) buffer
-reused by every step.  The step loop is chosen once per solve, and every
-loop gives the same bits:
+takes without a copy.  Its right operand is a prefix of the step loop's
+block rate buffer, one (block, state size) array per solve into which each
+node's rate goes, and the prefix views are made once per solve too; one
+copy per completed block moves the buffer into the rate array that the FFT
+levels read.  The dot writes into one (2, state size) buffer reused by
+every step.  The step loop is chosen once per solve, and every loop gives
+the same bits:
 
 - the model's vector_field takes the two-component loop on named floats
   with the field inlined from its one written source (model._compile), so
@@ -29,17 +36,18 @@ loop gives the same bits:
 - any other rhs on a state of at most _MAX_NAMED (8) components takes the
   loop on named floats of its size, compiled when a solve first needs it
   and cached: it calls rhs on a fresh array and stores what rhs returns
-  into the node's rate row, which casts and broadcasts it;
+  into the node's row of the block buffer, which casts and broadcasts it;
 - any larger state takes _vector_steps, the same steps on whole state
   arrays, which keeps the same ndarray contract.
 
-The loops on named floats are instances of one template, _NAMED_LOOP, and
-store each node's state as floats through a flat memoryview of the state
-array.  In every loop, per component, the predictor is u0 + c_pred (out +
-in) and the corrector u0 + c_corr (f + (out + in)), out and in being the
-history sums from outside and inside the node's block: the operation order
-of the vector form, which the golden trajectory hashes of the tests pin bit
-for bit.
+The loops on named floats are instances of one template, _NAMED_LOOP.  They
+read a node's history sums as one flat row of floats and its in-block sums
+through a flat memoryview of the dot's buffer, and store its state as floats
+through a flat memoryview of the state array.  In every loop, per
+component, the predictor is u0 + c_pred (out + in) and the corrector
+u0 + c_corr (f + (out + in)), out and in being the history sums from
+outside and inside the node's block: the operation order of the vector
+form, which the golden trajectory hashes of the tests pin bit for bit.
 """
 
 import functools
@@ -221,18 +229,32 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _add_history(rates, kernels, hist):
+def _kernel_spectrum(kernels, span):
+    """The transform of both kernels at distances 1 .. span, at the FFT
+    length of a level of that span."""
+    return np.fft.rfft(kernels[:, :span], _fft_length(span))
+
+
+def _add_history(rates, kernels, hist, spectrum):
     """Add the rates of len(rates) consecutive nodes into the history sums
     hist of the len(hist) nodes that directly follow them by FFT convolution:
     one transform of the rates over all state components, one of both
     kernels, and one inverse transform of the stacked (2, state size)
-    product, whose rows are each node's predictor and corrector sums.  The
-    kernel transform is dropped before the inverse, which bounds the level's
-    peak memory."""
+    product, whose rows are each node's predictor and corrector sums.
+
+    spectrum is the kernels' transform at this level's span,
+    len(rates) + len(hist) - 1, as _kernel_spectrum makes it: a solve keeps
+    one per span while a later level of the span remains, and hands it to
+    each of them.  Given None, the level transforms the kernels itself and
+    drops the transform before the inverse, which bounds its peak memory.
+    Either way the sums get the same bits."""
     n_src, n_dst = len(rates), len(hist)
     span = n_src + n_dst - 1                # largest node distance involved
     n_fft = _fft_length(span)               # circular wrap misses the kept part
-    product = np.fft.rfft(rates.T, n_fft) * np.fft.rfft(kernels[:, :span], n_fft)[:, None]
+    if spectrum is None:
+        spectrum = _kernel_spectrum(kernels, span)
+    product = np.fft.rfft(rates.T, n_fft) * spectrum[:, None]
+    del spectrum
     hist += np.fft.irfft(product, n_fft)[:, :, n_src - 1 : span].transpose(2, 0, 1)
 
 
@@ -241,9 +263,24 @@ def _add_history(rates, kernels, hist):
 # block, writes their states and final rates, and raises
 # SolverDivergenceError at the first node with a component beyond
 # ESCAPE_BOUND or not finite, or whose field divides by zero at the state it
-# is evaluated at.
+# is evaluated at.  Each loop writes a block's rates into one (block, state
+# size) buffer of its own and copies them into rates[start:stop] when the
+# block completes.  The in-block dot of the node at place w of its block
+# reads prefixes[w], the buffer's first w rows, a view made once per solve.
+def _block_buffer(tails, states):
+    """A step loop's block rate buffer, one row per node of a block, and
+    its prefix views: prefixes[w] is its first w rows."""
+    block_rates = np.empty((len(tails), states.shape[1]))
+    return block_rates, [block_rates[:w] for w in range(len(tails))]
+
+
 _LOOP_ARGS = ("anchor", "c_pred", "c_corr", "sweeps", "h", "states", "rates", "hist", "tails", "in_sums")
-_LOOP_GLOBALS = {"np": np, "ESCAPE_BOUND": ESCAPE_BOUND, "SolverDivergenceError": SolverDivergenceError}
+_LOOP_GLOBALS = {
+    "np": np,
+    "ESCAPE_BOUND": ESCAPE_BOUND,
+    "SolverDivergenceError": SolverDivergenceError,
+    "_block_buffer": _block_buffer,
+}
 
 # Largest state size stepped on named floats; a larger state takes
 # _vector_steps, whose code does not grow with the size.  Per step the named
@@ -257,31 +294,38 @@ _MAX_NAMED = 8
 # fills it in for one state size: the per-component lines, and the rate
 # evaluation spliced into each corrector sweep ({evaluate}, after which
 # {correct} reads the rates) and after the last ({final}, which stores the
-# node's rate).  A corrector sweep needs no rate row: the in-block dot reads
-# rates[start:i] only.  Each node's state is stored through a flat memoryview.
+# node's rate into the block buffer).  A corrector sweep needs no rate row:
+# the in-block dot reads the rows of earlier nodes only.  A node's history
+# sums are read from one flat row of hist, its in-block sums through a flat
+# memoryview of in_sums, and its state is stored through a flat memoryview
+# of states.
 _NAMED_LOOP = """\
 {anchor} = anchor
+block_rates, prefixes = _block_buffer(tails, states)
+flat_block = memoryview(block_rates.reshape(-1))
 flat_states = memoryview(states.reshape(-1))
-flat_rates = memoryview(rates.reshape(-1))
-bound = ESCAPE_BOUND
+flat_in = memoryview(in_sums.reshape(-1))
+sweep_range = range(sweeps)
+low, bound = -ESCAPE_BOUND, ESCAPE_BOUND
 
 def steps(start, stop):
-    block_rates = rates[start:stop]
     try:
-        for i, (({out_pred}), ({out_corr})), tail{row} in zip(range(start, stop), hist[start:stop].tolist(), tails{rows}):
-            ({in_pred}), ({in_corr}) = tail.dot(block_rates[: i - start], in_sums).tolist()
+        for i, {out_sums}, tail, prefix, {node} in zip(range(start, stop), hist[start:stop].reshape(stop - start, -1).tolist(), tails, prefixes, {nodes}):
+            tail.dot(prefix, in_sums)
+            {in_sums} = flat_in
             {predict}
             {corr_sums}
-            for _ in range(sweeps):
+            for _ in sweep_range:
                 {evaluate}
                 {state} = {correct}
-            # "not <=" also catches NaN and inf
+            # a chained comparison fails for NaN too
             if not ({in_bound}):
                 raise SolverDivergenceError(i * h, [{state}])
             {store_states}
             {final}
     except ZeroDivisionError:
         raise SolverDivergenceError(i * h, [{state}]) from None
+    rates[start:stop] = block_rates[: stop - start]
 return steps"""
 
 
@@ -300,30 +344,29 @@ def _named_loop(names, evaluate, rates, final, rows=False) -> str:
     """The source of _NAMED_LOOP for the state floats names, with the rate
     evaluation spliced in: the lines evaluate, after which the expressions
     rates are the rates at the state, and the lines final, which store the
-    rate of a node's final state.  rows also hands each step its rate row,
-    row, a view of rates[i]."""
+    rate of a node's final state.  Each step gets, besides i, either its
+    row of the block buffer, row (rows true), or the flat index of that
+    row's first rate in flat_block, k."""
     k = range(len(names))
 
-    def target(prefix):
-        return _target([f"{prefix}{j}" for j in k])
+    def target(*prefixes):
+        return _target([f"{prefix}{j}" for prefix in prefixes for j in k])
 
     def lines(depth, code):
         return ("\n" + " " * depth).join(code)
 
     return _NAMED_LOOP.format(
         anchor=target("a"),
-        out_pred=target("op"),
-        out_corr=target("oc"),
-        in_pred=target("ip"),
-        in_corr=target("ic"),
-        row=", row" if rows else "",
-        rows=", block_rates" if rows else "",
+        out_sums=f"({target('op', 'oc')})",
+        node="row" if rows else "k",
+        nodes="block_rates" if rows else f"range(0, {len(k)} * (stop - start), {len(k)})",
+        in_sums=target("ip", "ic"),
         predict=lines(12, [f"{v} = a{j} + c_pred * (op{j} + ip{j})" for j, v in zip(k, names)]),
         corr_sums=lines(12, [f"s{j} = oc{j} + ic{j}" for j in k]),
         evaluate=lines(16, evaluate),
         state=", ".join(names),
         correct=", ".join(f"a{j} + c_corr * ({f} + s{j})" for j, f in zip(k, rates)),
-        in_bound=" and ".join(f"abs({v}) <= bound" for v in names),
+        in_bound=" and ".join(f"low <= {v} <= bound" for v in names),
         store_states=lines(12, [f"flat_states[{_flat(len(k), j)}] = {v}" for j, v in zip(k, names)]),
         final=lines(12, final),
     )
@@ -332,7 +375,8 @@ def _named_loop(names, evaluate, rates, final, rows=False) -> str:
 # The model's loop is the template's two-component instance with the field
 # inlined from its one written source (model._compile): the state is named
 # x, y as the field's expressions read it, a step makes no Python call, and
-# each node's final rate is stored through a flat memoryview too.
+# each node's final rate is stored through a flat memoryview of the block
+# buffer.
 _pair_steps = _compile(
     "_pair_steps",
     _LOOP_ARGS,
@@ -340,7 +384,7 @@ _pair_steps = _compile(
         ("x", "y"),
         ["capture = {capture}"],
         ("{dx}", "{dy}"),
-        ["capture = {capture}", "flat_rates[2 * i] = {dx}", "flat_rates[2 * i + 1] = {dy}"],
+        ["capture = {capture}", "flat_block[k] = {dx}", "flat_block[k + 1] = {dy}"],
     ),
     """steps(start, stop) of the model's block loop for the parameters p and
     one solve's constants and arrays; see the comments above.""",
@@ -354,8 +398,8 @@ def _named_steps(n: int):
     components, the template's n-component instance, compiled when a solve
     first needs it.  It keeps the ndarray contract of _vector_steps, with
     the same operations in the same order: it hands rhs a fresh array and
-    stores what rhs returns into the node's rate row, which casts and
-    broadcasts it."""
+    stores what rhs returns into the node's row of the block buffer, which
+    casts and broadcasts it."""
     names = [f"v{j}" for j in range(n)]
     call = f"row[...] = rhs(np.array([{', '.join(names)}]))"
     rates = [f"f{j}" for j in range(n)]
@@ -367,18 +411,21 @@ def _vector_steps(rhs, anchor, c_pred, c_corr, sweeps, h, states, rates, hist, t
     """The block loop of any rhs on whole state arrays.  numpy's elementwise
     add and multiply round each component as Python floats do.  rhs gets a
     copy of each state, so a ZeroDivisionError reports the state as rhs got
-    it; what rhs returns is stored into the node's rate row, which casts and
-    broadcasts it."""
+    it; what rhs returns is stored into the node's row of the block buffer,
+    which casts and broadcasts it."""
     u0 = np.array(anchor)
+    block_rates, prefixes = _block_buffer(tails, states)
+    sweep_range = range(sweeps)
 
     def steps(start, stop):
-        block_rates = rates[start:stop]
         try:
-            for i, (out_pred, out_corr), tail, row in zip(range(start, stop), hist[start:stop], tails, block_rates):
-                in_pred, in_corr = tail.dot(block_rates[: i - start], in_sums)
+            for i, (out_pred, out_corr), tail, prefix, row in zip(
+                range(start, stop), hist[start:stop], tails, prefixes, block_rates
+            ):
+                in_pred, in_corr = tail.dot(prefix, in_sums)
                 value = u0 + c_pred * (out_pred + in_pred)
                 corr_sums = out_corr + in_corr
-                for _ in range(sweeps):
+                for _ in sweep_range:
                     row[...] = rhs(value.copy())
                     value = u0 + c_corr * (row + corr_sums)
                 # "not <=" also catches NaN and inf
@@ -388,6 +435,7 @@ def _vector_steps(rhs, anchor, c_pred, c_corr, sweeps, h, states, rates, hist, t
                 row[...] = rhs(value.copy())
         except ZeroDivisionError:
             raise SolverDivergenceError(i * h, value) from None
+        rates[start:stop] = block_rates[: stop - start]
 
     return steps
 
@@ -467,6 +515,9 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
         make_steps, field = _vector_steps, rhs
     step_block = make_steps(field, anchor, c_pred, c_corr, sweeps, h, states, rates, hist, tails, in_sums)
 
+    # the kernel spectra of the levels so far, by span, each kept while a
+    # later level of its span remains
+    spectra = {}
     for start in range(1, n_steps + 1, _BLOCK):
         stop = min(start + _BLOCK, n_steps + 1)
         step_block(start, stop)
@@ -474,8 +525,26 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
             # The blocks so far end a left half of the dyadic node tree whose
             # size is _BLOCK times the lowest set bit of the block count.
             blocks = (stop - 1) // _BLOCK
-            width = _BLOCK * (blocks & -blocks)
-            _add_history(rates[stop - width : stop], kernels, hist[stop : stop + width])
+            low_bit = blocks & -blocks
+            width = _BLOCK * low_bit
+            dst = hist[stop : stop + width]
+            span = width + len(dst) - 1
+            # Levels of one width come 2 width nodes apart, and share their
+            # span while their sums end inside the grid.
+            if stop + 3 * width <= n_steps + 1:
+                # a later level has this span
+                spectrum = spectra.get(span)
+                if spectrum is None:
+                    spectrum = spectra[span] = _kernel_spectrum(kernels, span)
+            elif blocks == low_bit or len(dst) < width:
+                # no other level has this span, as at the top of the tree:
+                # held spectra would add to the level's peak memory
+                spectra.clear()
+                spectrum = None
+            else:
+                # the last level of a span that an earlier one kept
+                spectrum = spectra.pop(span, None)
+            _add_history(rates[stop - width : stop], kernels, dst, spectrum)
 
     times = np.arange(n_steps + 1, dtype=float) * h
     return Trajectory(times=times, states=states)

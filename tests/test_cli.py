@@ -257,17 +257,30 @@ class TestCliRuns:
         assert float(values["gamma"]) < 0.0
         assert float(values["lambda_modulus"]) == pytest.approx(1.0, abs=1e-8)
 
+    # a set on the unit-modulus set whose order is so small that the step
+    # of s5's gain 2/G = 4.72533 exceeds the float range; s4 does not
+    SMALL_ORDER = ["--m", "0.0013965989201810386"] + [
+        arg for key, value in dict(
+            r=1.0313372770626303, K=133.798497589315, alpha=0.10174037599715532, h=0.08975409275460373,
+            theta=0.4254221839060461, c=0.24979824806629516, d=1.6071127486252588,
+        ).items() for arg in (f"--{key}", str(value))
+    ]
+
     def test_normal_form_at_small_order(self, tmp_path):
-        # at this m the step of s5's gain 2/G = 4.72533 exceeds the float range; s4 does not
         out = tmp_path / "nf.csv"
-        params = dict(r=1.0313372770626303, K=133.798497589315, alpha=0.10174037599715532,
-                      h=0.08975409275460373, theta=0.4254221839060461, c=0.24979824806629516,
-                      d=1.6071127486252588)
-        argv = ["normal-form", "--m", "0.0013965989201810386", "--output", str(out)]
-        assert main(argv + [arg for key, value in params.items() for arg in (f"--{key}", str(value))]) == 0
+        assert main(["normal-form", "--output", str(out)] + self.SMALL_ORDER) == 0
         values = name_value(out)
         assert float(values["s4"]) == pytest.approx(1.2558e-41, rel=1e-4)
         assert float(values["lambda_modulus"]) == pytest.approx(1.0, abs=1e-8)
+
+    def test_sweep_at_small_order(self, tmp_path, capsys):
+        # the sweep reads only s2 and s4 of the step thresholds, and the Hopf
+        # step s4 = 1.2558e-41 lies in the swept range
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--s-min", "1e-41", "--s-max", "2e-41", "--n-points", "3", "--output", str(out)]
+        assert main(argv + self.SMALL_ORDER) == 0
+        assert capsys.readouterr().out == "event: hopf of interior at s=1.25578e-41\n"
+        assert len(out.read_text().splitlines()) > 1
 
     def test_normal_form_precondition_exit(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -779,9 +792,11 @@ REJECTED = {
     "thresholds_m_tiny": (["thresholds", "--c", "0.45", "--m", "0.0005"], "float range"),
     # and so does the normal form's own s4
     "normal_form_m_tiny": (["normal-form", "--c", "0.45", "--m", "0.0005"], "float range"),
+    # a sweep reads s2 and s4 only: here s4's gain G/H is below the float range
     "sweep_m_tiny": (SWEEP + ["--m", "0.0005"], "float range"),
     # at r = 100 and m = 0.004 the step threshold s2 falls below it
     "thresholds_s2_underflow": (["thresholds", "--c", "0.45", "--m", "0.004", "--r", "100"], "float range"),
+    # and the sweep's own s2, at the transcritical c1 = 0.8445
     "sweep_s2_underflow": (SWEEP + ["--m", "0.004", "--r", "100"], "float range"),
     # at the smallest subnormal d the map gain 2/d of s1 is inf
     "thresholds_d_subnormal": (["thresholds", "--c", "0.45", "--m", "0.9", "--d", "5e-324"], "float range"),

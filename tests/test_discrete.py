@@ -136,9 +136,11 @@ class TestGain:
         p = replace(mid_complexity, d=5e-324)
         with pytest.raises(ValueError, match="exceeds the float range"):
             inverse_map_gain(2.0 / p.d, 0.9)
-        for analysis in (step_thresholds, detect_structural_bifurcations):
-            with pytest.raises(ValueError, match="float range"):
-                analysis(p, 0.9)
+        with pytest.raises(ValueError, match="float range"):
+            step_thresholds(p, 0.9)
+        # the bifurcation search reads s2 and s4 only: here c1 = 1 and G = 0,
+        # so it computes neither and finds no event
+        assert detect_structural_bifurcations(p, 0.9) == []
 
 
 class TestStepMap:

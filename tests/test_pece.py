@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import statistics
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -27,7 +28,14 @@ from fracprey import (
     pece_solve,
     vector_field,
 )
-from fracprey.pece import ESCAPE_BOUND, MAX_GRID_VALUES, _add_history, _fft_length, history_weights
+from fracprey.pece import (
+    ESCAPE_BOUND,
+    MAX_GRID_VALUES,
+    _add_history,
+    _fft_length,
+    _kernel_spectrum,
+    history_weights,
+)
 
 from test_cli import PARAMS
 from test_model import reference_rates
@@ -124,13 +132,32 @@ class TestAddHistory:
         kernels = history_weights(0.85, n_src + n_dst)[:2]
         start = rng.standard_normal((n_dst, 2, d))
         hist = start.copy()
-        _add_history(rates, kernels, hist)
+        _add_history(rates, kernels, hist, None)
         # destination node j lies n_src + j - k nodes after source node k
         expected = start.copy()
         for j in range(n_dst):
             for q in range(2):
                 expected[j, q] += kernels[q, j : n_src + j][::-1] @ rates
         assert np.allclose(hist, expected, rtol=0.0, atol=1e-13 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    @pytest.mark.parametrize("n_src,n_dst", [(64, 64), (256, 256), (256, 37)])
+    def test_reused_spectrum_keeps_bits(self, d, n_src, n_dst):
+        # one spectrum serves every level of its span, as a solve keeps it:
+        # each level gets the bits of a fresh transform, and the spectrum
+        # itself is left as it was
+        rng = np.random.default_rng([d, n_src, n_dst, 1])
+        kernels = history_weights(0.85, n_src + n_dst)[:2]
+        spectrum = _kernel_spectrum(kernels, n_src + n_dst - 1)
+        kept = spectrum.copy()
+        for _ in range(3):
+            rates = rng.standard_normal((n_src, d))
+            start = rng.standard_normal((n_dst, 2, d))
+            fresh, reused = start.copy(), start.copy()
+            _add_history(rates, kernels, fresh, None)
+            _add_history(rates, kernels, reused, spectrum)
+            assert np.array_equal(fresh.view(np.int64), reused.view(np.int64))
+        assert np.array_equal(spectrum.view(np.int64), kept.view(np.int64))
 
 
 class TestDirectOracle:
@@ -606,6 +633,89 @@ class TestGridAndDeterminism:
         b = pece_solve(vector_field(p), [10.0, 5.0], 0.9, cfg)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.times, b.times)
+
+
+def coupled_decay(u):
+    """A field on any number of components with a nonlinear coupling."""
+    return -0.8 * u + 0.1 * np.sin(np.roll(u, 1))
+
+
+class TestSolveState:
+    # every buffer, view and kernel spectrum a solve uses belongs to it: a
+    # solve run inside another one's field, or beside one in another thread,
+    # gets the bits it gets alone; the grids span several levels of each
+    # width, so the solves reuse kernel spectra
+    CFG = SolverConfig(step=0.05, horizon=0.05 * 1000)
+
+    def alone(self, rhs, x0, m):
+        """The states of a solve run alone, checked against the direct sums,
+        which share nothing with another solve."""
+        states = pece_solve(rhs, x0, m, self.CFG).states
+        direct = direct_convolution_oracle(rhs, x0, m, self.CFG)
+        assert np.max(np.abs(states - direct)) <= 1e-12 * np.max(np.abs(direct))
+        return states
+
+    @pytest.mark.parametrize("inner", ["model", "same_loop"])
+    def test_nested_solve(self, mid_complexity, inner):
+        outer_x0 = [1.0, -0.5, 0.25]
+        inner_args = {
+            "model": (vector_field(mid_complexity), [10.0, 5.0], 0.9, self.CFG),
+            "same_loop": (coupled_decay, [0.5, 1.0, -1.0], 0.85, self.CFG),
+        }[inner]
+        inner_states, calls = [], []
+
+        def nesting(u):
+            # a nested solve at the first call, in mid-block and at the last
+            # call of the outer solve
+            calls.append(None)
+            if len(calls) in (1, 700, 2001):
+                inner_states.append(pece_solve(*inner_args).states)
+            return coupled_decay(u)
+
+        alone = self.alone(coupled_decay, outer_x0, 0.9)
+        nested = pece_solve(nesting, outer_x0, 0.9, self.CFG).states
+        assert len(calls) == 2001 and len(inner_states) == 3
+        assert np.array_equal(nested.view(np.int64), alone.view(np.int64))
+        inner_alone = self.alone(*inner_args[:3])
+        for states in inner_states:
+            assert np.array_equal(states.view(np.int64), inner_alone.view(np.int64))
+
+    # sizes stepped by the loop on named floats and by the vector loop
+    @pytest.mark.parametrize("n", [3, pece._MAX_NAMED + 4])
+    def test_interleaved_threads(self, n):
+        # two solves of one state size run the same step loop code; each
+        # field call waits for the other thread's, so the solves advance in
+        # lockstep and every block and FFT level of one runs amid the other's
+        barrier = threading.Barrier(2, timeout=60)
+        solves = [
+            (coupled_decay, np.linspace(1.0, 2.0, n), 0.9),
+            (lambda u: -1.3 * u + 0.2, np.linspace(-1.0, 0.5, n), 0.8),
+        ]
+        alone = [self.alone(rhs, x0, m) for rhs, x0, m in solves]
+        results, errors = [None, None], []
+
+        def run(index):
+            rhs, x0, m = solves[index]
+
+            def lockstep(u):
+                barrier.wait()
+                return rhs(u)
+
+            try:
+                results[index] = pece_solve(lockstep, x0, m, self.CFG).states
+            except Exception as exc:  # reported below, in the test's thread
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert errors == []
+        for states, reference in zip(results, alone):
+            assert np.array_equal(states.view(np.int64), reference.view(np.int64))
 
 
 class TestModelField:
