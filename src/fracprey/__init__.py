@@ -40,7 +40,6 @@ from .model import (
     Thresholds,
     equilibria,
     jacobian,
-    rhs,
     thresholds,
     vector_field,
 )

@@ -11,8 +11,8 @@ Defaults are the library's own: a runner passes on only the options a run
 set.  Besides the order m, checked as soon as the config is read, the CLI
 checks only the values it builds itself: the x0 bound and the region grid's
 count, budget and finite ends.  Every other range check is the library's.
-run() is the one place where an error becomes an exit line: a ValueError
-the library raises ends the run like a malformed config does.
+main() turns a config that does not parse into an exit line, run() any
+error of a run: a ValueError the library raises ends it like a bad config.
 
 `reproduce` computes its summary here, then runs its eight file-writing
 analyses as a table of jobs, taken in table order by the calling process
@@ -340,8 +340,7 @@ def _run_simulate(cfg: RunConfig) -> int:
 
 
 def _run_discrete(cfg: RunConfig) -> int:
-    orbit_cfg = DiscreteConfig(s=cfg.s, m=cfg.m, iterations=cfg.iterations, **_given(cfg, "transient"))
-    orbit = iterate_orbit(cfg.params, orbit_cfg, cfg.x0)
+    orbit = iterate_orbit(cfg.params, DiscreteConfig(s=cfg.s, m=cfg.m, iterations=cfg.iterations), cfg.x0)
     write_csv(cfg.output or "discrete.csv", *export_series(orbit))
     if orbit.escaped:
         print(f"numerical escape after {len(orbit.states) - 1} iterations", file=sys.stderr)
@@ -647,7 +646,7 @@ MODES = {
     "equilibria": _Mode(_name_value("equilibria.csv", _rows_equilibria)),
     "stability": _Mode(_name_value("stability.csv", _rows_stability), ("m",)),
     "thresholds": _Mode(_name_value("thresholds.csv", _rows_thresholds), optional=("m",)),
-    "discrete": _Mode(_run_discrete, ("m", "s", "iterations"), ("transient", "x0")),
+    "discrete": _Mode(_run_discrete, ("m", "s", "iterations"), ("x0",)),
     "normal-form": _Mode(_name_value("normal_form.csv", _rows_normal_form), ("m",)),
     "sweep": _Mode(
         _run_sweep,

@@ -10,7 +10,8 @@ rate d:
 
 This module carries the parameter record, the field and its analytic
 Jacobian, the equilibria, and the closed-form complexity / conversion
-thresholds that organize which equilibria exist and attract.
+thresholds that organize which equilibria exist and attract.  vector_field
+is the one way into the field, and _pair the one check of a state.
 """
 
 import cmath
@@ -29,7 +30,6 @@ __all__ = [
     "Thresholds",
     "equilibria",
     "jacobian",
-    "rhs",
     "thresholds",
     "vector_field",
 ]
@@ -183,10 +183,20 @@ _field = _compile(
 )
 
 
+def _pair(state) -> np.ndarray:
+    """The package's one state check: a state as a float array (x, y);
+    ValueError for any other shape."""
+    pair = np.asarray(state, dtype=float)
+    if pair.shape != (2,):
+        raise ValueError(f"a state must be a pair (x, y), got shape {pair.shape}")
+    return pair
+
+
 class _VectorField:
-    """The field as pece_solve expects it: called on a state array it returns
-    the rate array; its rates attribute is the float closure of _field, and
-    params, from which pece_solve compiles its own step loop, is p."""
+    """The field as pece_solve expects it: called on a state pair it returns
+    the rate array, and ValueError for any other state; its rates attribute
+    is the float closure of _field, and params, from which pece_solve
+    compiles its own step loop, is p."""
 
     __slots__ = ("params", "rates")
 
@@ -195,24 +205,12 @@ class _VectorField:
         self.rates = _field(p)
 
     def __call__(self, state) -> np.ndarray:
-        return np.array(self.rates(float(state[0]), float(state[1])))
-
-
-def _pair(state) -> np.ndarray:
-    """A state as a float array (x, y); ValueError for any other shape."""
-    pair = np.asarray(state, dtype=float)
-    if pair.shape != (2,):
-        raise ValueError(f"a state must be a pair (x, y), got shape {pair.shape}")
-    return pair
-
-
-def rhs(p: ModelParams, state) -> np.ndarray:
-    """Rate vector (dx, dy) at a nonnegative state pair (x, y)."""
-    return _VectorField(p)(_pair(state))
+        return np.array(self.rates(*_pair(state).tolist()))
 
 
 def vector_field(p: ModelParams) -> Callable:
-    """The field as a single-argument callable on state arrays, as pece_solve
+    """The one way into the model's field: a single-argument callable that
+    maps a state pair (x, y) to its rate array (dx, dy), as pece_solve
     expects; pece_solve steps it in a loop with the field inlined."""
     return _VectorField(p)
 

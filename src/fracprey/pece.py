@@ -58,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import _VectorField, _compile, _exec_factory
+from .model import _VectorField, _compile, _exec_factory, _pair
 from .special import _check_order, gamma_fn
 
 __all__ = [
@@ -71,10 +71,11 @@ __all__ = [
     "pece_solve",
 ]
 
-# Largest n_steps x state size x corrector sweeps pece_solve accepts.  The
-# solve stores four float64 values per grid value (state, rate and two
-# history sums) and three weights per step, so the budget caps it at about
-# 560 MB; counting the sweeps bounds the field calls of the step loop too.
+# Largest n_steps x state size x corrector sweeps pece_solve accepts, and
+# largest n of history_weights.  The solve stores four float64 values per
+# grid value (state, rate and two history sums) and three weights per step,
+# so the budget caps it at about 560 MB; counting the sweeps bounds the
+# field calls of the step loop too.
 MAX_GRID_VALUES = 10_000_000
 
 # Magnitude beyond which a state counts as escaped: pece_solve raises past
@@ -182,10 +183,11 @@ def history_weights(m: float, n: int):
     where b_j = (-1)^j binom(m+1, j) are positive and decreasing, so both
     series add positive terms.  k = 0 takes the exact 1, 2^(m+1) - 2 and m.
     Raises ValueError unless 0 < m <= 1, the orders the series bound covers,
-    and n is an integer >= 1.
+    and n is an integer >= 1 within MAX_GRID_VALUES, before allocating.
     """
     _check_order(m)
     _check_count("n", n, 1)
+    _check_budget(n, f"history weights for {n} steps")
     weights = np.empty((3, n))
     pred, corr, w0 = weights
     pred[0], corr[0], w0[0] = 1.0, 2.0 * math.expm1(m * math.log(2.0)), m
@@ -456,17 +458,17 @@ def pece_solve(rhs: Callable, x0, m: float, cfg: SolverConfig) -> Trajectory:
     step's history.  Raises SolverDivergenceError at the first node with a
     component beyond ESCAPE_BOUND or not finite, or whose state makes the
     field divide by zero (the model's prey pole), and ValueError, before
-    allocating, when x0 is not a non-empty 1-D state, or not a pair for the
-    model's field, or when the grid's steps times state size times
-    corrector sweeps exceed MAX_GRID_VALUES.
+    allocating, when x0 is not a non-empty 1-D state, or, for the model's
+    field, not the pair model._pair takes, or when the grid's steps times
+    state size times corrector sweeps exceed MAX_GRID_VALUES.
     """
     _check_order(m)
     h = cfg.step
     u0 = np.array(x0, dtype=float)  # a copy: rhs gets it at node 0 and may mutate it
     if u0.ndim != 1 or u0.size == 0:
         raise ValueError(f"x0 must be a non-empty 1-D state, got shape {u0.shape}")
-    if isinstance(rhs, _VectorField) and u0.size != 2:
-        raise ValueError(f"the model's field needs a state (x, y), got {u0.size} components")
+    if isinstance(rhs, _VectorField):
+        _pair(u0)
     steps = cfg.horizon / h + 1e-9
     sweeps = cfg.corrector_sweeps
     _check_budget(

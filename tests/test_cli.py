@@ -162,20 +162,20 @@ class TestCliRuns:
         assert "0 < m <= 1" in capsys.readouterr().err
 
     def test_library_value_error_exit_code(self, tmp_path):
-        # DiscreteConfig, not the config parser, rejects transient >= iterations;
-        # the CLI process must still end in exit 2 with a one-line message
+        # DiscreteConfig, not the config parser, rejects iterations < 1; the
+        # CLI process must still end in exit 2 with a one-line message
         config = tmp_path / "run.cfg"
         config.write_text(BASE_CONFIG.replace("c = 0.86", "c = 0.45"), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(Path(fracprey.__file__).resolve().parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "fracprey.cli", "discrete", "--config", str(config),
-             "--m", "0.95", "--s", "0.1", "--iterations", "10", "--transient", "50",
+             "--m", "0.95", "--s", "0.1", "--iterations", "0",
              "--output", str(tmp_path / "orbit.csv")],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("config error: transient")
+        assert proc.stderr.startswith("config error: iterations")
         assert proc.stderr.count("\n") == 1
 
     def test_grid_budget_exit_code(self, tmp_path):
@@ -779,7 +779,6 @@ REJECTED = {
     "corrector_sweeps_budget": (SIMULATE + ["--corrector-sweeps", "1000000000"], "budget"),
     "s_zero": (DISCRETE + ["--s", "0"], "step size"),
     "iterations_zero": (DISCRETE + ["--iterations", "0"], "iterations"),
-    "discrete_transient_negative": (DISCRETE + ["--transient", "-1"], "transient"),
     "sweep_transient_negative": (SWEEP + ["--transient", "-1"], "transient"),
     "n_samples_zero": (SWEEP + ["--n-samples", "0"], "n_samples"),
     "s_min_zero": (SWEEP + ["--s-min", "0"], "s_min"),
@@ -904,6 +903,25 @@ class TestRejectedInputs:
         assert named in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_discrete_takes_no_transient_flag(self, tmp_path, capsys):
+        # discrete writes every row of its orbit, so a transient would change nothing
+        with pytest.raises(SystemExit) as info:
+            main(DISCRETE[:1] + PARAM_FLAGS + DISCRETE[1:]
+                 + ["--transient", "1", "--output", str(tmp_path / "out.csv")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --transient 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_discrete_section_takes_no_transient(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(BASE_CONFIG.replace("mode = thresholds", "mode = discrete") + (
+            "[discrete]\nm = 0.95\ns = 0.1\niterations = 50\ntransient = 10\n"
+        ), encoding="utf-8")
+        assert main(["discrete", "--config", str(config), "--output", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: line 17: key 'transient' is not valid in section [discrete]\n"
+        assert list(tmp_path.iterdir()) == [config]
+
     @pytest.mark.parametrize("name", ["c_min_nan", "c_min_inf", "c_max_nan", "c_max_inf",
                                       "s_inf", "s_max_inf", "kick_nan", "kick_inf"])
     def test_non_finite_grid_end_rejected_before_linspace(self, tmp_path, name):
@@ -991,10 +1009,7 @@ def cli_runs(draw, mode):
             bad = draw(st.integers(0, 3)) == 0
             options[key] = draw(st.sampled_from(BAD_VALUES) if bad else VALID[key])
     if mode == "discrete":
-        # a transient below iterations and, in half the runs, a step below the
-        # flip step s2 of the predator-free point
-        if isinstance(options["iterations"], int) and isinstance(options.get("transient"), int):
-            options["transient"] = draw(st.integers(0, options["iterations"] - 1))
+        # in half the runs, a step below the flip step s2 of the predator-free point
         if isinstance(options["m"], float) and isinstance(options["s"], float) and draw(st.booleans()):
             try:
                 s2 = inverse_map_gain(2.0 / params["r"], options["m"])

@@ -37,8 +37,7 @@ FLAG_RUNS = {
     "thresholds": ["thresholds"],
     "thresholds_m": ["thresholds", "--m", "0.95"],
     "discrete": ["discrete", "--m", "0.95", "--s", "0.1", "--iterations", "50"],
-    "discrete_transient": ["discrete", "--m", "0.95", "--s", "0.1", "--iterations", "50",
-                           "--transient", "20", "--x0", "12, 7"],
+    "discrete_x0": ["discrete", "--m", "0.95", "--s", "0.1", "--iterations", "50", "--x0", "12, 7"],
     "discrete_escape": ["discrete", "--m", "1.0", "--s", "2.0", "--iterations", "500"],
     "normal_form": ["normal-form", "--m", "0.95"],
     "sweep": ["sweep", "--m", "0.95", "--s-min", "0.18", "--s-max", "0.21", "--n-points", "4",
@@ -82,7 +81,6 @@ horizon = 1
 m = 0.9
 s = 0.2
 iterations = 40   # comment after a value
-transient = 10
 x0 = 10, 5
 """),
 }

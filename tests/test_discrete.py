@@ -21,11 +21,11 @@ from fracprey import (
     inverse_map_gain,
     iterate_orbit,
     map_gain,
-    rhs,
     step_map,
     step_thresholds,
     sweep_step_size,
     thresholds,
+    vector_field,
 )
 from fracprey.discrete import ESCAPE_BOUND
 from fracprey.model import _field
@@ -171,7 +171,7 @@ class TestStepMap:
         rng = np.random.RandomState(42)
         for _ in range(20):
             state = rng.uniform(0.0, 500.0, size=2)
-            euler = state + 0.3 * rhs(mid_complexity, state)
+            euler = state + 0.3 * vector_field(mid_complexity)(state)
             assert np.max(np.abs(step_map(mid_complexity, 0.3, 1.0, state) - euler)) < 1e-12
 
 
@@ -323,7 +323,7 @@ class TestKernelOracle:
         rng = np.random.RandomState(7)
         for p in (high_complexity, mid_complexity, low_complexity):
             for state in rng.uniform(-50.0, 1000.0, size=(200, 2)):
-                assert np.array_equal(rhs(p, state), reference_rhs(p, state))
+                assert np.array_equal(vector_field(p)(state), reference_rhs(p, state))
 
     def test_step_map_matches_reference(self, high_complexity, mid_complexity, low_complexity):
         rng = np.random.RandomState(11)

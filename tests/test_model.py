@@ -12,7 +12,6 @@ from fracprey import (
     ParameterError,
     equilibria,
     jacobian,
-    rhs,
     thresholds,
     vector_field,
 )
@@ -52,7 +51,7 @@ def finite_difference_jacobian(p, state):
         lo = state.copy()
         hi[j] += delta
         lo[j] -= delta
-        out[:, j] = (rhs(p, hi) - rhs(p, lo)) / (2.0 * delta)
+        out[:, j] = (vector_field(p)(hi) - vector_field(p)(lo)) / (2.0 * delta)
     return out
 
 
@@ -78,13 +77,13 @@ class TestParams:
 
 class TestField:
     def test_vanishes_at_origin(self, mid_complexity):
-        assert np.all(rhs(mid_complexity, (0.0, 0.0)) == 0.0)
+        assert np.all(vector_field(mid_complexity)((0.0, 0.0)) == 0.0)
 
     def test_vanishes_at_capacity(self, mid_complexity):
-        assert np.allclose(rhs(mid_complexity, (mid_complexity.K, 0.0)), 0.0, atol=1e-12)
+        assert np.allclose(vector_field(mid_complexity)((mid_complexity.K, 0.0)), 0.0, atol=1e-12)
 
     def test_reference_interior_point_is_near_root(self, mid_complexity):
-        assert np.all(np.abs(rhs(mid_complexity, (253.9056, 97.8867))) < 1e-3)
+        assert np.all(np.abs(vector_field(mid_complexity)((253.9056, 97.8867))) < 1e-3)
 
     @pytest.mark.parametrize("regime", ["high_complexity", "mid_complexity", "low_complexity"])
     def test_float_closure_matches_rhs_bit_for_bit(self, request, regime):
@@ -96,7 +95,7 @@ class TestField:
             rates = field.rates(x, y)
             assert type(rates) is tuple and all(type(v) is float for v in rates)
             assert rates == reference_rates(p, x, y)
-            assert np.array_equal(rhs(p, (x, y)), rates)
+            assert np.array_equal(field((x, y)), rates)
             assert np.array_equal(field(np.array([x, y])), rates)
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -114,7 +113,7 @@ class TestField:
     @pytest.mark.parametrize("state", [[5.0], [1.0, 2.0, 3.0]], ids=["one", "three"])
     def test_state_must_be_a_pair(self, mid_complexity, state):
         with pytest.raises(ValueError, match="must be a pair"):
-            rhs(mid_complexity, state)
+            vector_field(mid_complexity)(state)
         with pytest.raises(ValueError, match="must be a pair"):
             jacobian(mid_complexity, state)
 
@@ -224,7 +223,7 @@ class TestEquilibria:
             for eq in equilibria(p):
                 if eq.exists:
                     scale = 1.0 + np.linalg.norm(eq.point)
-                    assert np.linalg.norm(rhs(p, eq.point)) <= 1e-9 * scale
+                    assert np.linalg.norm(vector_field(p)(eq.point)) <= 1e-9 * scale
 
 
 class TestThresholds:

@@ -847,7 +847,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("x0", [[5.0], [1.0, 2.0, 3.0]], ids=["one", "three"])
     def test_model_field_needs_a_pair(self, mid_complexity, x0):
-        with pytest.raises(ValueError, match=r"needs a state \(x, y\), got \d components"):
+        with pytest.raises(ValueError, match=r"a state must be a pair \(x, y\), got shape \(\d,\)"):
             pece_solve(vector_field(mid_complexity), x0, 0.9, SolverConfig(step=0.1, horizon=1.0))
 
     def test_rejects_bad_order(self):
@@ -872,6 +872,18 @@ class TestResources:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_weights_budget_rejected_before_allocation(self):
+        # history_weights is public, so it bounds its own n as pece_solve
+        # bounds the grid
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the budget of 10000000 values"):
+                history_weights(0.9, MAX_GRID_VALUES + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_peak_allocation_of_long_solve(self, mid_complexity):
         # states, rates, history sums and weights take about 1.9 MB at 20k

@@ -68,6 +68,14 @@ test "$(wc -l < "$tmp/e.err")" -eq 1
 test "$(cat "$tmp/e.err")" = "numerical escape after 141 iterations"
 test "$(wc -l < "$tmp/e.csv")" -eq 143
 if grep -q 'Traceback' "$tmp/e.out" "$tmp/e.err" "$tmp/e.csv"; then exit 1; fi
+# discrete writes every row of its orbit and takes no transient: a usage
+# error, exit 2, and no output file
+status=0
+"${cli[@]}" discrete --r 2.65 --K 898 --alpha 0.045 --h 0.0437 --theta 0.215 --c 0.45 --d 1.06 \
+  --m 0.95 --s 0.1 --iterations 50 --transient 1 --output "$tmp/d.csv" 2> "$tmp/d.err" || status=$?
+test "$status" -eq 2
+grep -q 'unrecognized arguments: --transient 1' "$tmp/d.err"
+test ! -e "$tmp/d.csv"
 # reproduce exits 0 and writes one directory of 11 files; summary.csv has 37
 # rows under its header
 status=0
