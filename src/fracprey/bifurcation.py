@@ -78,7 +78,8 @@ def sweep_step_size(
     In follow mode each grid point starts from the previous final state
     (optionally nudged by the relative perturbation `kick`, which keeps a
     followed orbit from sitting numerically frozen on an unstable fixed
-    point); otherwise every point restarts from x0.  Escaped orbits are
+    point); otherwise every point restarts from x0, and a nonzero kick,
+    which would change nothing, raises ValueError.  Escaped orbits are
     flagged and the follow state resets to x0.  Raises ValueError, before
     allocating, when n_points x n_samples x 2 exceeds pece.MAX_GRID_VALUES.
     """
@@ -86,6 +87,8 @@ def sweep_step_size(
         raise ValueError(f"need 0 < s_min < s_max < inf, got {s_min!r}, {s_max!r}")
     if not math.isfinite(kick):
         raise ValueError(f"kick must be finite, got {kick!r}")
+    if kick and not follow:
+        raise ValueError(f"kick applies only in follow mode, got kick={kick!r} with follow off")
     _check_count("n_points", n_points, 2)
     _check_count("n_samples", n_samples, 1)
     _check_count("transient", transient, 0)
@@ -187,8 +190,9 @@ def stability_region_cm(p: ModelParams, c_grid) -> RegionResult:
     Only complexities strictly inside (0, c2) produce an order-driven
     stability switch; grid values outside that window (within _C_MARGIN
     of its ends) are skipped with a reason.  Below the returned curve the
-    interior state is stable, above it unstable.  Raises ValueError for an
-    empty grid.
+    interior state is stable, above it unstable.  The c of p is never read:
+    the window comes from the c-free thresholds(p), and each grid value
+    replaces c.  Raises ValueError for an empty grid.
     """
     if len(c_grid) == 0:
         raise ValueError("c_grid must hold at least one value")

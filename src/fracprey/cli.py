@@ -1,16 +1,17 @@
 """Command-line surface.
 
-Subcommands map one-to-one onto the library operations; parameters come from
-a `key = value` config file (with `#` comments and one optional `[mode]`
-section per mode) overridden by flags of the same name.  All numeric output
-is CSV (UTF-8, LF, '.' decimal separator, 15 significant digits).
+Subcommands map one-to-one onto the library operations, and the subcommand
+alone names a run's mode.  Parameters come from a `key = value` config file
+(with `#` comments and one optional `[mode]` section per mode) overridden by
+flags of the same name.  All numeric output is CSV (UTF-8, LF, '.' decimal
+separator, 15 significant digits).
 
 Two tables drive the layer: _OPTIONS gives each option key its parser,
 MODES gives each mode its runner and its required and optional keys.
 Defaults are the library's own: a runner passes on only the options a run
-set.  Besides the order m, checked as soon as the config is read, the CLI
-checks only the values it builds itself: the x0 bound and the region grid's
-count, budget and finite ends.  Every other range check is the library's.
+set.  The CLI checks only the values it builds itself: the x0 bound and the
+region grid's count, budget and finite ends.  Every other range check, the
+order m's among them, is the library's.
 main() turns a config that does not parse into an exit line, run() any
 error of a run: a ValueError the library raises ends it like a bad config.
 
@@ -49,13 +50,12 @@ from .discrete import (
 )
 from .model import ModelParams, equilibria, interior_point, jacobian, thresholds, vector_field
 from .pece import ESCAPE_BOUND, SolverConfig, SolverDivergenceError, _check_budget, _check_count, pece_solve
-from .special import _check_order
 from .stability import classify_equilibria, critical_order, global_stability_check
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run"]
 
 PARAM_KEYS = ("r", "K", "alpha", "h", "theta", "c", "d")
-TOP_KEYS = PARAM_KEYS + ("mode", "output")
+TOP_KEYS = PARAM_KEYS + ("output",)
 
 # parameters every reproduce run is anchored to
 _REFERENCE_PARAMS = dict(r=2.65, K=898.0, alpha=0.045, h=0.0437, theta=0.215, c=0.86, d=1.06)
@@ -201,17 +201,12 @@ def _parse_raw(text: str):
     return sections.pop(None), sections
 
 
-def build_config(top, sections, overrides) -> RunConfig:
-    """Merge file values and parsed flag overrides into a RunConfig.
+def build_config(mode: str, top, sections, overrides) -> RunConfig:
+    """Merge file values and parsed flag overrides into a RunConfig of mode.
 
-    Beyond the parameters, which ModelParams validates, only the order m is
-    checked here; every other range is left to the library call it feeds.
+    Only the parameters are checked here, by ModelParams; every other range
+    is left to the library call it feeds.
     """
-    mode = overrides.get("mode")
-    if mode is None and "mode" in top:
-        mode = top["mode"][0]
-    if mode is None:
-        raise ConfigError("missing required key 'mode'")
     if mode not in MODES:
         raise ConfigError(f"unknown mode '{mode}'")
     spec = MODES[mode]
@@ -225,7 +220,7 @@ def build_config(top, sections, overrides) -> RunConfig:
     if "output" in top:
         values["output"] = top["output"][0]
     for key, val in overrides.items():
-        if key != "mode" and val is not None:
+        if val is not None:
             values[key] = val
 
     for key in spec.params + spec.required:
@@ -233,17 +228,15 @@ def build_config(top, sections, overrides) -> RunConfig:
             raise ConfigError(f"missing required key '{key}' for mode {mode}")
     try:
         params = ModelParams(**{k: values.pop(k) for k in spec.params}) if spec.params else None
-        if "m" in values:
-            _check_order(values["m"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(params=params, mode=mode, **values)
 
 
-def parse_config(source: str) -> RunConfig:
-    """Parse a config file's text (no flag overrides)."""
+def parse_config(source: str, mode: str) -> RunConfig:
+    """Parse a config file's text for a run of mode (no flag overrides)."""
     top, sections = _parse_raw(source)
-    return build_config(top, sections, {})
+    return build_config(mode, top, sections, {})
 
 
 # --- per-mode runners -------------------------------------------------------
@@ -707,13 +700,13 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot read {args.config}: {exc}") from None
         top, sections = _parse_raw(text)
 
-        overrides = {"mode": args.mode, "output": args.output}
+        overrides = {"output": args.output}
         spec = MODES[args.mode]
         for key in spec.params + spec.keys:
             value = getattr(args, key)
             # --follow/--no-follow arrive as bools, every other flag as text
             overrides[key] = value if value is None or isinstance(value, bool) else _convert(key, value)
-        cfg = build_config(top, sections, overrides)
+        cfg = build_config(args.mode, top, sections, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -545,9 +545,7 @@ def detect_structural_bifurcations(p: ModelParams, m: float) -> list:
     cases = []
     if th.c1 is not None and 0.0 < th.c1 < 1.0:
         at_c1 = replace(p, c=th.c1)
-        a = at_c1.attack
-        capture_gain = p.theta * a * p.K / (1.0 + a * p.h * p.K)
-        growth = capture_gain - p.d     # predator growth at (K, 0), zero at c1
+        growth = jacobian(at_c1, (p.K, 0.0)).a22  # predator growth at (K, 0), zero at c1
         # at c = c1 the interior constants collapse to G = r, so the flip
         # step coincides with the prey threshold s2
         s2 = _prey_step(p, m)
@@ -555,7 +553,7 @@ def detect_structural_bifurcations(p: ModelParams, m: float) -> list:
         # entry (r S)(-S growth): c1 is rounded, so a = alpha (1 - c1) is off
         # by up to eps / (1 - c1) relative, and growth by that share of its
         # terms
-        sensitivity = p.r * S * S * (capture_gain + p.d) / (1.0 - th.c1)
+        sensitivity = p.r * S * S * (growth + 2.0 * p.d) / (1.0 - th.c1)
         cases.append(("transcritical", "predator_free", at_c1, None, 0.5 * s2, 1, 1, sensitivity))
         S = map_gain(s2, m)
         # entry (2 - r S)(2 + S growth): r S = 2 up to the rounding of the

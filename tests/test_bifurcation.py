@@ -44,6 +44,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_step_size(mid_complexity, 0.95, 0.1, 0.2, 1)
 
+    def test_kick_needs_follow(self, mid_complexity):
+        # a restarted orbit starts from x0 and is never kicked
+        with pytest.raises(ValueError, match="kick applies only in follow mode"):
+            sweep_step_size(mid_complexity, 0.95, 0.1, 0.2, 2, transient=0, n_samples=1, follow=False, kick=1e-3)
+
     @pytest.mark.parametrize(
         "counts",
         [dict(n_points=2.5), dict(n_points=5.0), dict(n_samples=2.5), dict(transient=2.5), dict(transient=-1)],

@@ -40,7 +40,6 @@ h = 0.0437
 theta = 0.215
 c = 0.86
 d = 1.06
-mode = thresholds
 
 [thresholds]
 m = 0.95
@@ -76,56 +75,76 @@ def wait_for(condition, timeout=30.0):
 
 class TestParseConfig:
     def test_full_document(self):
-        cfg = parse_config(BASE_CONFIG)
+        cfg = parse_config(BASE_CONFIG, "thresholds")
         assert cfg.mode == "thresholds"
         assert cfg.params.r == 2.65 and cfg.params.c == 0.86
         assert cfg.m == 0.95
 
+    def test_mode_comes_from_the_caller(self):
+        # the [thresholds] section is inactive in an equilibria run
+        cfg = parse_config(BASE_CONFIG, "equilibria")
+        assert cfg.mode == "equilibria" and cfg.m is None
+        with pytest.raises(ConfigError, match="unknown mode 'nonsense'"):
+            parse_config(BASE_CONFIG, "nonsense")
+
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2: unknown key 'bogus'"):
-            parse_config("r = 2.65\nbogus = 1\n")
+            parse_config("r = 2.65\nbogus = 1\n", "thresholds")
 
-    def test_order_constraint_named(self):
-        text = BASE_CONFIG.replace("m = 0.95", "m = 1.5")
-        with pytest.raises(ConfigError, match="0 < m <= 1"):
-            parse_config(text)
+    def test_order_constraint_named(self, tmp_path, capsys):
+        # the library call of each mode that reads m checks it, before any output
+        sections = {
+            "simulate": "step = 0.05\nhorizon = 1\n",
+            "stability": "",
+            "thresholds": "",
+            "discrete": "s = 0.1\niterations = 10\n",
+            "normal-form": "",
+            "sweep": "s_min = 0.1\ns_max = 0.2\nn_points = 3\n",
+        }
+        for mode, keys in sections.items():
+            config = tmp_path / f"{mode}.cfg"
+            section = f"[{mode}]\nm = 1.5\n{keys}"
+            config.write_text(BASE_CONFIG.replace("c = 0.86", "c = 0.45")
+                              .replace("[thresholds]\nm = 0.95\n", section), encoding="utf-8")
+            out = tmp_path / f"{mode}.csv"
+            assert main([mode, "--config", str(config), "--output", str(out)]) == 2, mode
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+            assert "0 < m <= 1" in err
+            assert not out.exists()
 
     def test_complexity_constraint_named(self):
         text = BASE_CONFIG.replace("c = 0.86", "c = 1")
         with pytest.raises(ConfigError, match="c must satisfy 0 <= c < 1"):
-            parse_config(text)
+            parse_config(text, "thresholds")
 
     def test_missing_parameter(self):
         text = BASE_CONFIG.replace("d = 1.06\n", "")
         with pytest.raises(ConfigError, match="missing required key 'd'"):
-            parse_config(text)
+            parse_config(text, "thresholds")
 
     def test_missing_mode_option(self):
-        text = "\n".join(
-            line for line in BASE_CONFIG.splitlines() if not line.startswith("m =")
-        ).replace("mode = thresholds", "mode = simulate")
-        with pytest.raises(ConfigError, match="missing required key"):
-            parse_config(text)
+        text = "\n".join(line for line in BASE_CONFIG.splitlines() if not line.startswith("m ="))
+        with pytest.raises(ConfigError, match="missing required key 'm' for mode simulate"):
+            parse_config(text, "simulate")
 
     def test_bad_number(self):
         with pytest.raises(ConfigError, match="invalid value for 'K'"):
-            parse_config(BASE_CONFIG.replace("K = 898", "K = lots"))
+            parse_config(BASE_CONFIG.replace("K = 898", "K = lots"), "thresholds")
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section"):
-            parse_config(BASE_CONFIG + "[plotting]\nx = 1\n")
+            parse_config(BASE_CONFIG + "[plotting]\nx = 1\n", "thresholds")
 
     def test_foreign_section_keys_are_checked_but_inactive(self):
         text = BASE_CONFIG + "[sweep]\ns_min = 0.1\n"
-        cfg = parse_config(text)
+        cfg = parse_config(text, "thresholds")
         assert cfg.mode == "thresholds"
         assert cfg.s_min is None
 
     def test_pair_value(self):
-        text = BASE_CONFIG.replace("mode = thresholds", "mode = discrete") + (
-            "[discrete]\nm = 0.95\ns = 0.1\niterations = 10\nx0 = 12, 7\n"
-        )
-        cfg = parse_config(text)
+        text = BASE_CONFIG + "[discrete]\nm = 0.95\ns = 0.1\niterations = 10\nx0 = 12, 7\n"
+        cfg = parse_config(text, "discrete")
         assert cfg.x0 == (12.0, 7.0)
 
 
@@ -148,12 +167,20 @@ class TestCliRuns:
 
     def test_flag_overrides_config(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text(BASE_CONFIG.replace("mode = thresholds", "mode = equilibria"), encoding="utf-8")
+        config.write_text(BASE_CONFIG, encoding="utf-8")
         out = tmp_path / "eq.csv"
         assert main(["equilibria", "--config", str(config), "--c", "0.45", "--output", str(out)]) == 0
         values = name_value(out)
         assert values["Estar.exists"] == "1"
         assert float(values["Estar.x"]) == pytest.approx(253.9056, abs=1e-3)
+
+    def test_config_mode_line_rejected(self, tmp_path, capsys):
+        # the subcommand names the mode; a mode line in the file is an unknown key
+        config = tmp_path / "run.cfg"
+        config.write_text("mode = nonsense\n" + BASE_CONFIG, encoding="utf-8")
+        assert main(["equilibria", "--config", str(config), "--output", str(tmp_path / "eq.csv")]) == 2
+        assert capsys.readouterr().err == "config error: line 1: unknown key 'mode'\n"
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -216,9 +243,7 @@ class TestCliRuns:
     def test_simulate_grid_rows(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(
-            BASE_CONFIG.replace("mode = thresholds", "mode = simulate").replace(
-                "[thresholds]\nm = 0.95", "[simulate]\nm = 0.95\nstep = 0.05\nhorizon = 0.05"
-            ),
+            BASE_CONFIG.replace("[thresholds]\nm = 0.95", "[simulate]\nm = 0.95\nstep = 0.05\nhorizon = 0.05"),
             encoding="utf-8",
         )
         out = tmp_path / "sim.csv"
@@ -415,7 +440,7 @@ class TestCliRuns:
 
     def test_region_schema(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text(BASE_CONFIG.replace("mode = thresholds", "mode = region"), encoding="utf-8")
+        config.write_text(BASE_CONFIG, encoding="utf-8")
         out = tmp_path / "region.csv"
         assert main([
             "region", "--config", str(config), "--c-min", "0.02", "--c-max", "0.1",
@@ -586,14 +611,14 @@ class TestReproduce:
 
     def test_config_file_parameter_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("mode = reproduce\nc = 0.3\n", encoding="utf-8")
+        config.write_text("# reference run\nc = 0.3\n", encoding="utf-8")
         assert main(["reproduce", "--config", str(config), "--output", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
             "config error: line 2: key 'c' is not valid for mode reproduce\n"
         )
         assert list(tmp_path.iterdir()) == [config]
         with pytest.raises(ConfigError, match="line 2: key 'c' is not valid for mode reproduce"):
-            parse_config("mode = reproduce\nc = 0.3\n")
+            parse_config("# reference run\nc = 0.3\n", "reproduce")
 
     def test_fresh_process_loads_no_pool(self, tmp_path):
         # python -m fracprey.cli reproduce with one more live thread: from
@@ -811,6 +836,8 @@ REJECTED = {
     "s_max_inf": (SWEEP + ["--s-max", "inf"], "s_max"),
     "kick_nan": (SWEEP + ["--kick", "nan"], "kick"),
     "kick_inf": (SWEEP + ["--kick", "inf"], "kick"),
+    # a restarted orbit is never kicked
+    "kick_without_follow": (SWEEP + ["--no-follow", "--kick", "1e-3"], "follow mode"),
     "K_inf": (["equilibria", "--c", "0.45", "--K", "inf"], "K must be > 0"),
     "r_inf": (["stability", "--c", "0.45", "--m", "0.9", "--r", "inf"], "r must be > 0"),
 }
@@ -914,12 +941,11 @@ class TestRejectedInputs:
 
     def test_discrete_section_takes_no_transient(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text(BASE_CONFIG.replace("mode = thresholds", "mode = discrete") + (
-            "[discrete]\nm = 0.95\ns = 0.1\niterations = 50\ntransient = 10\n"
-        ), encoding="utf-8")
+        config.write_text(BASE_CONFIG + "[discrete]\nm = 0.95\ns = 0.1\niterations = 50\ntransient = 10\n",
+                          encoding="utf-8")
         assert main(["discrete", "--config", str(config), "--output", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
-        assert err == "config error: line 17: key 'transient' is not valid in section [discrete]\n"
+        assert err == "config error: line 16: key 'transient' is not valid in section [discrete]\n"
         assert list(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize("name", ["c_min_nan", "c_min_inf", "c_max_nan", "c_max_inf",
@@ -949,11 +975,9 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("text", ["2e12, 1", "1, -1e13", "inf 5"])
     def test_config_file_start_checked(self, text):
-        doc = BASE_CONFIG.replace("mode = thresholds", "mode = discrete") + (
-            f"[discrete]\nm = 0.95\ns = 0.1\niterations = 10\nx0 = {text}\n"
-        )
-        with pytest.raises(ConfigError, match="line 17: invalid value for 'x0'"):
-            parse_config(doc)
+        doc = BASE_CONFIG + f"[discrete]\nm = 0.95\ns = 0.1\niterations = 10\nx0 = {text}\n"
+        with pytest.raises(ConfigError, match="line 16: invalid value for 'x0'"):
+            parse_config(doc, "discrete")
 
 
 # small valid values of each option, mixed with strings that are never valid

@@ -55,7 +55,6 @@ CONFIG_RUNS = {
     "config_sweep": ("sweep", f"""\
 # sweep with every option from the file
 {PARAMS_TEXT}c = 0.45
-mode = sweep
 
 [sweep]
 m = 0.95
@@ -66,11 +65,9 @@ transient = 400
 n_samples = 6
 x0 = 10, 5
 follow = no
-kick = 1e-3
 """),
     "config_discrete": ("discrete", f"""\
 {PARAMS_TEXT}c = 0.05
-mode = discrete
 
 [simulate]   # a foreign section is checked but inactive
 m = 0.5

@@ -76,6 +76,26 @@ status=0
 test "$status" -eq 2
 grep -q 'unrecognized arguments: --transient 1' "$tmp/d.err"
 test ! -e "$tmp/d.csv"
+# the subcommand alone names the mode: a mode line in a config file is an
+# unknown key, exit 2, one stderr line and no output file
+printf 'mode = nonsense\nc = 0.45\n' > "$tmp/mode.cfg"
+status=0
+"${cli[@]}" equilibria --config "$tmp/mode.cfg" --r 2.65 --K 898 --alpha 0.045 --h 0.0437 \
+  --theta 0.215 --d 1.06 --output "$tmp/m.csv" 2> "$tmp/m.err" || status=$?
+test "$status" -eq 2
+test "$(wc -l < "$tmp/m.err")" -eq 1
+test "$(cat "$tmp/m.err")" = "config error: line 1: unknown key 'mode'"
+test ! -e "$tmp/m.csv"
+# a restarted sweep is never kicked: a kick without follow is exit 2, one
+# stderr line and no output file
+status=0
+"${cli[@]}" sweep --r 2.65 --K 898 --alpha 0.045 --h 0.0437 --theta 0.215 --c 0.45 --d 1.06 \
+  --m 0.95 --s-min 0.18 --s-max 0.21 --n-points 4 --no-follow --kick 1e-3 \
+  --output "$tmp/k.csv" 2> "$tmp/k.err" || status=$?
+test "$status" -eq 2
+test "$(wc -l < "$tmp/k.err")" -eq 1
+grep -q '^config error: kick applies only in follow mode' "$tmp/k.err"
+test ! -e "$tmp/k.csv"
 # reproduce exits 0 and writes one directory of 11 files; summary.csv has 37
 # rows under its header
 status=0
