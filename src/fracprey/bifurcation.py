@@ -184,22 +184,26 @@ def cluster_count(points: np.ndarray) -> int:
     return count
 
 
-def stability_region_cm(p: ModelParams, c_grid) -> RegionResult:
-    """Critical-order boundary m*(c) of the interior state over a c grid.
+def stability_region_cm(p: ModelParams, c_max: float, c_points: int) -> RegionResult:
+    """Critical-order boundary m*(c) of the interior state over the grid of
+    c_points complexities from the c of p to c_max.
 
     Only complexities strictly inside (0, c2) produce an order-driven
     stability switch; grid values outside that window (within _C_MARGIN
     of its ends) are skipped with a reason.  Below the returned curve the
-    interior state is stable, above it unstable.  The c of p is never read:
-    the window comes from the c-free thresholds(p), and each grid value
-    replaces c.  Raises ValueError for an empty grid.
+    interior state is stable, above it unstable.  The window comes from the
+    c-free thresholds(p), and each grid value replaces c.  Raises
+    ValueError, before allocating, unless c_points is an integer of at
+    least 1 within pece.MAX_GRID_VALUES and c_max is finite.
     """
-    if len(c_grid) == 0:
-        raise ValueError("c_grid must hold at least one value")
+    _check_count("c_points", c_points, 1)
+    _check_budget(c_points, f"region grid of {c_points} points")
+    if not math.isfinite(c_max):
+        raise ValueError(f"region grid end c_max must be finite, got {c_max!r}")
     th = thresholds(p)
     points = []
     skipped = []
-    for c in c_grid:
+    for c in np.linspace(p.c, c_max, c_points):
         c = float(c)
         if th.c2 is None:
             skipped.append((c, "c2 undefined for these parameters"))

@@ -9,9 +9,9 @@ separator, 15 significant digits).
 Two tables drive the layer: _OPTIONS gives each option key its parser,
 MODES gives each mode its runner and its required and optional keys.
 Defaults are the library's own: a runner passes on only the options a run
-set.  The CLI checks only the values it builds itself: the x0 bound and the
-region grid's count, budget and finite ends.  Every other range check, the
-order m's among them, is the library's.
+set.  The CLI checks only the value it builds itself, the x0 bound.  Every
+other range check, the order m's and the region grid's among them, is the
+library's.
 main() turns a config that does not parse into an exit line, run() any
 error of a run: a ValueError the library raises ends it like a bad config.
 
@@ -49,7 +49,7 @@ from .discrete import (
     step_thresholds,
 )
 from .model import ModelParams, equilibria, interior_point, jacobian, thresholds, vector_field
-from .pece import ESCAPE_BOUND, SolverConfig, SolverDivergenceError, _check_budget, _check_count, pece_solve
+from .pece import ESCAPE_BOUND, SolverConfig, SolverDivergenceError, pece_solve
 from .stability import classify_equilibria, critical_order, global_stability_check
 
 __all__ = ["ConfigError", "RunConfig", "main", "parse_config", "run"]
@@ -111,7 +111,6 @@ _OPTIONS = {
     "n_points": int,
     "follow": _parse_bool,
     "kick": float,
-    "c_min": float,
     "c_max": float,
     "c_points": int,
 }
@@ -362,21 +361,16 @@ def _run_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _region_job(path, p: ModelParams, grid: np.ndarray):
-    """Write the (c, m*) boundary of p over the c values of grid, and return it."""
-    result = stability_region_cm(p, grid)
+def _region_job(path, p: ModelParams, c_max: float, c_points: int):
+    """Write the (c, m*) boundary of p over c_points complexities from the c
+    of p to c_max, and return it."""
+    result = stability_region_cm(p, c_max, c_points)
     write_csv(path, ("c", "m_star"), result.points)
     return result
 
 
 def _run_region(cfg: RunConfig) -> int:
-    _check_count("c_points", cfg.c_points, 1)
-    _check_budget(cfg.c_points, f"region grid of {cfg.c_points} points")
-    for key in ("c_min", "c_max"):
-        if not math.isfinite(getattr(cfg, key)):
-            raise ValueError(f"region grid end {key} must be finite, got {getattr(cfg, key)!r}")
-    grid = np.linspace(cfg.c_min, cfg.c_max, cfg.c_points)
-    result = _region_job(cfg.output or "region.csv", cfg.params, grid)
+    result = _region_job(cfg.output or "region.csv", cfg.params, cfg.c_max, cfg.c_points)
     for c, reason in result.skipped:
         print(f"skipped c={c:g}: {reason}", file=sys.stderr)
     return 0
@@ -447,7 +441,7 @@ def _reproduce_jobs(outdir: Path, p86: ModelParams, p45: ModelParams, p05: Model
         (_sweep_job, outdir / "predator_free_sweep.csv", p86, 0.95, 0.60, 0.85, 31, sweep),
         (_series_job, outdir / "interior_series_m090.csv", p45, DEFAULT_X0, 0.9, solver[150.0]),
         *predator_free,
-        (_region_job, outdir / "stability_region.csv", p05, np.linspace(0.005, 0.12, 24)),
+        (_region_job, outdir / "stability_region.csv", replace(p05, c=0.005), 0.12, 24),
     ]
 
 
@@ -646,7 +640,7 @@ MODES = {
         ("m", "s_min", "s_max", "n_points"),
         ("transient", "n_samples", "x0", "follow", "kick"),
     ),
-    "region": _Mode(_run_region, ("c_min", "c_max", "c_points")),
+    "region": _Mode(_run_region, ("c_max", "c_points")),
     "reproduce": _Mode(_run_reproduce, params=()),
 }
 

@@ -264,27 +264,41 @@ class TestClusterCount:
 
 class TestStabilityRegion:
     def test_reference_boundary_point(self, low_complexity):
-        result = stability_region_cm(low_complexity, [0.05])
+        result = stability_region_cm(low_complexity, 0.05, 1)
         assert len(result.points) == 1
         c, m_star = result.points[0]
         assert m_star == pytest.approx(0.9898, abs=5e-4)
 
     def test_out_of_window_values_skipped(self, low_complexity):
+        # a grid of 0 and c2 hits both margins; 0.5 and 0.9 lie past c2
         c2 = thresholds(low_complexity).c2
-        result = stability_region_cm(low_complexity, [-0.1, 0.0, c2, 0.5, 0.9])
-        assert result.points == []
-        assert len(result.skipped) == 5
-        assert all("c2" in reason or "outside" in reason for _, reason in result.skipped)
+        for start, c_max in ((0.0, c2), (0.5, 0.9)):
+            result = stability_region_cm(replace(low_complexity, c=start), c_max, 2)
+            assert result.points == []
+            assert [c for c, _ in result.skipped] == [start, c_max]
+            assert all("c2" in reason or "outside" in reason for _, reason in result.skipped)
 
     def test_empty_grid_rejected(self, low_complexity):
-        with pytest.raises(ValueError, match="at least one value"):
-            stability_region_cm(low_complexity, np.linspace(0.02, 0.1, 0))
+        with pytest.raises(ValueError, match="c_points must be >= 1"):
+            stability_region_cm(low_complexity, 0.1, 0)
+
+    @pytest.mark.parametrize("c_max, c_points, message", [
+        (0.1, 2.0, "c_points must be an integer"),
+        (0.1, 10**13, "region grid of 10000000000000 points exceeds the budget"),
+        (np.nan, 5, "c_max must be finite"),
+        (np.inf, 5, "c_max must be finite"),
+    ], ids=["float_count", "budget", "nan_end", "inf_end"])
+    def test_grid_checked_before_allocation(self, low_complexity, c_max, c_points, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.linspace over a non-finite end warns
+            with pytest.raises(ValueError, match=message):
+                stability_region_cm(low_complexity, c_max, c_points)
 
     def test_boundary_monotone_and_limits(self, low_complexity):
         c2 = thresholds(low_complexity).c2
         grid = np.linspace(0.005, c2 * 0.999, 16)
-        result = stability_region_cm(low_complexity, grid)
-        assert len(result.points) == len(grid)
+        result = stability_region_cm(replace(low_complexity, c=0.005), c2 * 0.999, 16)
+        assert [c for c, _ in result.points] == grid.tolist()
         values = [m for _, m in result.points]
         assert all(b - a > -1e-6 for a, b in zip(values, values[1:]))  # non-decreasing
         assert values[-1] > 0.995  # m* -> 1 as c -> c2

@@ -381,7 +381,7 @@ class TestCliRuns:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--c", "0.05", "--m", "0.95", "--s-min", "0.18", "--s-max", "0.21", "--n-points", "4",
          "--n-samples", "5", "--kick", "1e-3"],
-        ["region", "--c", "0.05", "--c-min", "0", "--c-max", "0.2", "--c-points", "3"],
+        ["region", "--c", "0", "--c-max", "0.2", "--c-points", "3"],
     ], ids=["sweep", "region"])
     def test_unwritable_output_is_the_one_stderr_line(self, tmp_path, capsys, argv):
         # the sweep has orbits that escape and the region c values it skips,
@@ -443,7 +443,7 @@ class TestCliRuns:
         config.write_text(BASE_CONFIG, encoding="utf-8")
         out = tmp_path / "region.csv"
         assert main([
-            "region", "--config", str(config), "--c-min", "0.02", "--c-max", "0.1",
+            "region", "--config", str(config), "--c", "0.02", "--c-max", "0.1",
             "--c-points", "5", "--output", str(out),
         ]) == 0
         header, rows = read_csv(out)
@@ -451,6 +451,31 @@ class TestCliRuns:
         assert len(rows) == 5
         values = [float(r[1]) for r in rows]
         assert all(0.9 < v < 1.0 for v in values)
+
+    def test_region_grid_starts_at_the_runs_c(self, tmp_path, capsys):
+        out = tmp_path / "region.csv"
+        assert main(REGION[:1] + PARAM_FLAGS + REGION[1:] + ["--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == [format_number(c) for c in np.linspace(0.02, 0.1, 5)]
+        assert capsys.readouterr().err == ""
+
+    def test_region_takes_no_c_min_flag(self, tmp_path, capsys):
+        # the grid starts at the run's c, so a separate start would be unread
+        with pytest.raises(SystemExit) as info:
+            main(REGION[:1] + PARAM_FLAGS + REGION[1:]
+                 + ["--c-min", "0.02", "--output", str(tmp_path / "r.csv")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --c-min 0.02" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_region_section_takes_no_c_min(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(BASE_CONFIG + "[region]\nc_min = 0.02\nc_max = 0.1\nc_points = 5\n",
+                          encoding="utf-8")
+        assert main(["region", "--config", str(config), "--output", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: line 13: key 'c_min' is not valid in section [region]\n"
+        assert list(tmp_path.iterdir()) == [config]
 
 
 class TestReproduce:
@@ -590,8 +615,7 @@ class TestReproduce:
         runs = {
             "interior_sweep.csv": sweep + ["--c", "0.45", "--s-min", "0.10", "--s-max", "0.55"],
             "predator_free_sweep.csv": sweep + ["--c", "0.86", "--s-min", "0.60", "--s-max", "0.85"],
-            "stability_region.csv": ["region", "--c", "0.05", "--c-min", "0.005", "--c-max", "0.12",
-                                     "--c-points", "24"],
+            "stability_region.csv": ["region", "--c", "0.005", "--c-max", "0.12", "--c-points", "24"],
         }
         for name, argv in runs.items():
             out = tmp_path / name
@@ -789,7 +813,7 @@ PARAM_FLAGS = ["--r", "2.65", "--K", "898", "--alpha", "0.045", "--h", "0.0437",
 SIMULATE = ["simulate", "--c", "0.45", "--m", "0.9", "--step", "0.05", "--horizon", "1"]
 DISCRETE = ["discrete", "--c", "0.45", "--m", "0.9", "--s", "0.1", "--iterations", "10"]
 SWEEP = ["sweep", "--c", "0.45", "--m", "0.9", "--s-min", "0.1", "--s-max", "0.2", "--n-points", "3"]
-REGION = ["region", "--c", "0.45", "--c-min", "0.02", "--c-max", "0.1", "--c-points", "5"]
+REGION = ["region", "--c", "0.02", "--c-max", "0.1", "--c-points", "5"]
 
 # name -> (command line less the parameters, text the one stderr line must hold);
 # a flag repeated at the end overrides the valid value before it
@@ -828,8 +852,9 @@ REJECTED = {
     "x0_nan": (DISCRETE + ["--x0", "nan,5"], "x0"),
     "sweep_grid_budget": (SWEEP + ["--n-points", "10000000000000"], "budget"),
     "region_grid_budget": (REGION + ["--c-points", "10000000000000"], "budget"),
-    "c_min_nan": (REGION + ["--c-min", "nan"], "c_min"),
-    "c_min_inf": (REGION + ["--c-min", "inf"], "c_min"),
+    # the region grid's start (c_min) is the run's c, checked by ModelParams
+    "c_min_nan": (REGION + ["--c", "nan"], "c must satisfy"),
+    "c_min_inf": (REGION + ["--c", "inf"], "c must satisfy"),
     "c_max_nan": (REGION + ["--c-max", "nan"], "c_max"),
     "c_max_inf": (REGION + ["--c-max", "inf"], "c_max"),
     "s_inf": (DISCRETE + ["--s", "inf"], "step size"),
@@ -997,7 +1022,6 @@ VALID = {
     "s_max": st.floats(0.01, 3.0),
     "n_points": st.integers(2, 10),
     "kick": st.floats(-0.01, 0.01),
-    "c_min": st.floats(0.0, 0.99),
     "c_max": st.floats(0.0, 0.99),
     "c_points": st.integers(1, 10),
 }

@@ -46,7 +46,8 @@ FLAG_RUNS = {
                         "--n-points", "4", "--transient", "500", "--n-samples", "5"],
     "sweep_no_follow": ["sweep", "--m", "0.9", "--s-min", "0.5", "--s-max", "3.0", "--n-points", "6",
                         "--transient", "300", "--n-samples", "4", "--no-follow"],
-    "region": ["region", "--c-min", "0.02", "--c-max", "0.1", "--c-points", "5"],
+    # the grid runs from the run's c: this --c, after the regime's, starts it
+    "region": ["region", "--c", "0.02", "--c-max", "0.1", "--c-points", "5"],
 }
 
 PARAMS_TEXT = "".join(f"{k} = {v:g}\n" for k, v in BASE.items())

@@ -96,6 +96,27 @@ test "$status" -eq 2
 test "$(wc -l < "$tmp/k.err")" -eq 1
 grep -q '^config error: kick applies only in follow mode' "$tmp/k.err"
 test ! -e "$tmp/k.csv"
+# the region grid starts at the run's c: a --c-min is a usage error, a
+# start outside [0, 1) or no grid point a config error with one stderr line;
+# each exits 2 and writes no file
+region=(region --r 2.65 --K 898 --alpha 0.045 --h 0.0437 --theta 0.215 --d 1.06 --c-max 0.1)
+status=0
+"${cli[@]}" "${region[@]}" --c 0.02 --c-points 5 --c-min 0.02 --output "$tmp/r1.csv" \
+  2> "$tmp/r1.err" || status=$?
+test "$status" -eq 2
+grep -q 'unrecognized arguments: --c-min 0.02' "$tmp/r1.err"
+test ! -e "$tmp/r1.csv"
+status=0
+"${cli[@]}" "${region[@]}" --c 1.5 --c-points 5 --output "$tmp/r2.csv" 2> "$tmp/r2.err" || status=$?
+test "$status" -eq 2
+test "$(cat "$tmp/r2.err")" = "config error: c must satisfy 0 <= c < 1, got 1.5"
+test ! -e "$tmp/r2.csv"
+status=0
+"${cli[@]}" "${region[@]}" --c 0.02 --c-points 0 --output "$tmp/r3.csv" 2> "$tmp/r3.err" || status=$?
+test "$status" -eq 2
+test "$(wc -l < "$tmp/r3.err")" -eq 1
+grep -q '^config error: c_points must be >= 1' "$tmp/r3.err"
+test ! -e "$tmp/r3.csv"
 # reproduce exits 0 and writes one directory of 11 files; summary.csv has 37
 # rows under its header
 status=0
